@@ -34,7 +34,6 @@ from .oscillator import (
     BnSequence,
     FockOperator,
     OperatorKind,
-    Provenance,
     Relation,
     build_operator,
     commutator_residual,

@@ -166,18 +166,14 @@ def _cmd_table(cfg: RunConfig) -> tuple[dict, list[dict], int]:
         span = 0.99 if cfg.family == "rogers" else 3.0
         xs = np.linspace(-span, span, 41)
         if cfg.family == "discrete1":
-            for xv in xs:
-                row = {"x": _num(xv)}
-                for n in range(nmax + 1):
-                    row[f"p{n}"] = _num(polyfam.discrete1_eval(n, float(xv), cfg.q))
-                rows.append(row)
+            vals = [[polyfam.discrete1_eval(n, float(xv), cfg.q) for xv in xs] for n in range(nmax + 1)]
         else:
             vals = polyfam.eval_orthonormal_sequence(fam, nmax, xs)
-            for j, xv in enumerate(xs):
-                row = {"x": _num(xv)}
-                for n in range(nmax + 1):
-                    row[f"p{n}"] = _num(vals[n, j])
-                rows.append(row)
+        for j, xv in enumerate(xs):
+            row = {"x": _num(xv)}
+            for n in range(nmax + 1):
+                row[f"p{n}"] = _num(vals[n][j])
+            rows.append(row)
     elif cfg.kind == "gram":
         report = polyfam.gram_matrix(_family_descriptor(cfg), nmax)
         meta["max_offdiag"] = _num(report.max_offdiag)

@@ -116,10 +116,7 @@ def bg_expansion(
     With dim=None the truncation grows until |c_dim|^2 < 1e-26.
     """
     z = complex(z)
-    if family.kind is Family.DISCRETE_I:
-        raise UnsupportedFamily(
-            "no coherent states for the type-I family: the normalization series has radius zero"
-        )
+    polyfam.orthonormal_laws(family.kind)  # rejects type-I, whose normalization series has radius zero
     q = family.q.q
     if family.kind is Family.ROGERS and abs(z) >= rogers_radius(q):
         raise DomainError(f"continuous-family states need |z| < {rogers_radius(q)}")

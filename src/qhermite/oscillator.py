@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import polyfam
-from .errors import DimensionError, DomainError, UnsupportedFamily
+from .errors import DimensionError, DomainError
 from .polyfam import Family, FamilyDescriptor
 from .qcore import QParam, as_qparam, q_number, q_pochhammer
 
@@ -39,60 +39,50 @@ class Relation(enum.Enum):
     Q_INVERSE_SQUARED = "q-inverse-sq"  # a-a+ - 1/q^2 a+a- = q^{-N}
 
 
-class Provenance(enum.Enum):
-    ROGERS = "rogers"
-    DISCRETE_II = "discrete2"
-    USER = "user"
-
-
 @dataclass(frozen=True)
 class BnSequence:
     """Recurrence coefficients feeding the operator construction.
 
-    Family-derived sequences compute b_n on demand; user-supplied ones carry
-    an explicit non-negative table (b_{-1} is implicitly zero).
+    A family source computes b_n on demand from its polyfam.FAMILY_TABLE
+    row; family=None marks a user-supplied sequence, which carries an
+    explicit non-negative table (b_{-1} is implicitly zero).
     """
 
-    provenance: Provenance
+    family: Family | None
     table: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.provenance is Provenance.USER:
-            if not self.table:
-                raise DomainError("user-supplied sequence needs at least one coefficient")
-            if any(v < 0 for v in self.table):
-                raise DomainError("recurrence coefficients must be non-negative")
+        if self.family is not None:
+            polyfam.orthonormal_laws(self.family)
+        elif not self.table:
+            raise DomainError("user-supplied sequence needs at least one coefficient")
+        elif any(v < 0 for v in self.table):
+            raise DomainError("recurrence coefficients must be non-negative")
 
     def coeff(self, n: int, q: QParam | float) -> float:
         if n < 0:
             return 0.0
-        if self.provenance is Provenance.ROGERS:
-            return polyfam.recurrence_coeff(polyfam.rogers(q), n)
-        if self.provenance is Provenance.DISCRETE_II:
-            return polyfam.recurrence_coeff(polyfam.discrete2(q), n)
+        if self.family is not None:
+            return polyfam.FAMILY_TABLE[self.family].b(n, as_qparam(q).q)
         if n >= len(self.table):
             raise DimensionError(f"user-supplied sequence has no b_{n}")
         return self.table[n]
 
 
 def rogers_bn() -> BnSequence:
-    return BnSequence(Provenance.ROGERS)
+    return BnSequence(Family.ROGERS)
 
 
 def discrete2_bn() -> BnSequence:
-    return BnSequence(Provenance.DISCRETE_II)
+    return BnSequence(Family.DISCRETE_II)
 
 
 def user_bn(values: Sequence[float]) -> BnSequence:
-    return BnSequence(Provenance.USER, tuple(float(v) for v in values))
+    return BnSequence(None, tuple(float(v) for v in values))
 
 
 def source_for_family(family: FamilyDescriptor) -> BnSequence:
-    if family.kind is Family.ROGERS:
-        return rogers_bn()
-    if family.kind is Family.DISCRETE_II:
-        return discrete2_bn()
-    raise UnsupportedFamily("type-I family provides no recurrence coefficients")
+    return BnSequence(family.kind)
 
 
 def ladder_prefactor(source: BnSequence, q: QParam | float) -> float:
@@ -100,10 +90,8 @@ def ladder_prefactor(source: BnSequence, q: QParam | float) -> float:
 
     User-supplied sequences follow the Rogers convention gamma = 2/sqrt(1-q).
     """
-    qq = as_qparam(q).q
-    if source.provenance is Provenance.DISCRETE_II:
-        return math.sqrt(qq / (1.0 - qq))
-    return 2.0 / math.sqrt(1.0 - qq)
+    kind = Family.ROGERS if source.family is None else source.family
+    return polyfam.FAMILY_TABLE[kind].gamma(as_qparam(q).q)
 
 
 @dataclass(frozen=True)
@@ -190,18 +178,15 @@ def spectrum(source: BnSequence, q: QParam | float, nmax: int) -> list[float]:
     qp = as_qparam(q)
     if nmax < 0:
         raise DomainError("nmax must be non-negative")
-    q_ = qp.q
+    if source.family is not None:
+        lam = polyfam.FAMILY_TABLE[source.family].lam
+        return [lam(n, qp.q) for n in range(nmax + 1)]
+    gamma = ladder_prefactor(source, qp)
     out = []
     for n in range(nmax + 1):
-        if source.provenance is Provenance.ROGERS:
-            out.append(q_number(n, qp) + q_number(n + 1, qp))
-        elif source.provenance is Provenance.DISCRETE_II:
-            out.append(q_ ** (-2 * n) * q_number(n + 1, qp) + q_ ** (2 - 2 * n) * q_number(n, qp))
-        else:
-            gamma = ladder_prefactor(source, qp)
-            bm1 = source.coeff(n - 1, qp)
-            bn = source.coeff(n, qp)
-            out.append(gamma**2 * (bm1 * bm1 + bn * bn))
+        bm1 = source.coeff(n - 1, qp)
+        bn = source.coeff(n, qp)
+        out.append(gamma**2 * (bm1 * bm1 + bn * bn))
     return out
 
 

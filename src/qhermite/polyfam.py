@@ -2,34 +2,79 @@
 
 Three families are covered: the continuous (Rogers) family, orthogonal on
 [-1, 1] against the weight |(e^{2i theta};q)_inf|^2 / sqrt(1-x^2), and the
-two discrete families living on geometric lattices.  The continuous family
-and the type-II lattice family support three-term recurrence evaluation and
-Gram-matrix orthonormality checks; the type-I family supports evaluation
-only (no recurrence coefficients are available for it here).
+two discrete families living on geometric lattices.  Every family-specific
+constant sits in one row of FAMILY_TABLE: the orthonormal recurrence
+coefficients b_n, the monic recurrence coefficients c_n, the ladder
+prefactor gamma and the closed-form spectrum lambda_n.  One three-term
+recurrence kernel evaluates every family; the type-I family also has its
+terminating series.  The continuous and type-II families have an
+orthonormal basis, a weight and Gram-matrix checks; the type-I row has no
+b_n, gamma or lambda_n, so those operations reject it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    PoleError,
-    QuadratureError,
-    UnsupportedFamily,
-)
-from .qcore import DEFAULT_POLICY, QParam, Scalar, TruncationPolicy, as_qparam, q_pochhammer
+from .errors import ConvergenceError, DomainError, PoleError, QuadratureError, UnsupportedFamily
+from .qcore import (DEFAULT_POLICY, QParam, Scalar, TruncationPolicy, _sum_series, as_qparam, q_number,
+                    q_pochhammer)
 
 
 class Family(enum.Enum):
     ROGERS = "rogers"
     DISCRETE_I = "discrete1"
     DISCRETE_II = "discrete2"
+
+
+@dataclass(frozen=True)
+class FamilyLaws:
+    """The family-specific constants, as functions of the degree n and q.
+
+    b:     orthonormal recurrence x p_n = b_n p_{n+1} + b_{n-1} p_{n-1}, n >= 0
+    c:     monic recurrence x h_n = h_{n+1} + c_n h_{n-1}
+    gamma: ladder prefactor, a+|n> = gamma b_n |n+1>
+    lam:   closed-form eigenvalue lambda_n of the ladder Hamiltonian
+    None marks a constant the family does not have.
+    """
+
+    b: Callable[[int, float], float] | None
+    c: Callable[[int, float], float]
+    gamma: Callable[[float], float] | None
+    lam: Callable[[int, float], float] | None
+
+
+FAMILY_TABLE = {
+    Family.ROGERS: FamilyLaws(
+        b=lambda n, q: 0.5 * math.sqrt(1.0 - q ** (n + 1)),
+        c=lambda n, q: 0.25 * (1.0 - q**n),
+        gamma=lambda q: 2.0 / math.sqrt(1.0 - q),
+        lam=lambda n, q: q_number(n, q) + q_number(n + 1, q),
+    ),
+    # Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials and
+    # Their q-Analogues, ch. 14 (discrete q-Hermite I)
+    Family.DISCRETE_I: FamilyLaws(b=None, c=lambda n, q: q ** (n - 1) * (1.0 - q**n), gamma=None, lam=None),
+    Family.DISCRETE_II: FamilyLaws(
+        b=lambda n, q: q ** (-n - 0.5) * math.sqrt(1.0 - q ** (n + 1)),
+        c=lambda n, q: q ** (1 - 2 * n) * (1.0 - q**n),
+        gamma=lambda q: math.sqrt(q / (1.0 - q)),
+        lam=lambda n, q: q ** (-2 * n) * q_number(n + 1, q) + q ** (2 - 2 * n) * q_number(n, q),
+    ),
+}
+
+
+def orthonormal_laws(kind: Family) -> FamilyLaws:
+    """Table row of a family that has an orthonormal basis."""
+    laws = FAMILY_TABLE[kind]
+    if laws.b is None:
+        raise UnsupportedFamily(f"the {kind.value} family has no orthonormal basis, oscillator or coherent states")
+    return laws
 
 
 @dataclass(frozen=True)
@@ -83,14 +128,35 @@ _ZERO_FACTOR_TOL = 1e-12
 
 def recurrence_coeff(family: FamilyDescriptor, n: int) -> float:
     """Off-diagonal recurrence coefficient b_n; b_{-1} = 0 for both families."""
-    if family.kind is Family.DISCRETE_I:
-        raise UnsupportedFamily("no recurrence coefficients for the type-I family")
-    if n < 0:
-        return 0.0
-    q = family.q.q
-    if family.kind is Family.ROGERS:
-        return 0.5 * math.sqrt(1.0 - q ** (n + 1))
-    return q ** (-n - 0.5) * math.sqrt(1.0 - q ** (n + 1))
+    laws = orthonormal_laws(family.kind)
+    return laws.b(n, family.q.q) if n >= 0 else 0.0
+
+
+def _three_term(x, a: Sequence[float], d: Sequence[float]) -> Iterator:
+    """Yield p_0 = 1, p_1, ... of p_{m+1} = (x p_m - a_m p_{m-1}) / d_m with
+    p_{-1} = 0, one step per (a_m, d_m) pair.
+
+    x may be a scalar, an ndarray or a numpy Polynomial.
+    """
+    p_prev, p = 0.0, 1.0
+    yield p
+    for a_m, d_m in zip(a, d):
+        p_prev, p = p, (x * p - a_m * p_prev) / d_m
+        yield p
+
+
+def _orthonormal_coeffs(family: FamilyDescriptor, n: int) -> tuple[list[float], list[float]]:
+    """(a, d) = ([b_{-1}, ..., b_{n-2}], [b_0, ..., b_{n-1}]) for _three_term."""
+    laws = orthonormal_laws(family.kind)
+    b = [laws.b(m, family.q.q) for m in range(n)]
+    return [0.0] + b[:-1], b
+
+
+def _monic(kind: Family, n: int, x, q: float):
+    """Monic polynomial h_n of a family at x (scalar, ndarray or Polynomial)."""
+    c = FAMILY_TABLE[kind].c
+    *_, h = _three_term(x, [c(m, q) for m in range(n)], [1.0] * n)
+    return h
 
 
 def eval_orthonormal(family: FamilyDescriptor, n: int, x: Scalar) -> Scalar:
@@ -101,15 +167,10 @@ def eval_orthonormal(family: FamilyDescriptor, n: int, x: Scalar) -> Scalar:
     """
     if n < 0:
         raise DomainError("degree must be non-negative")
-    if family.kind is Family.DISCRETE_I:
-        raise UnsupportedFamily("type-I family has no orthonormal recurrence here")
+    a, d = _orthonormal_coeffs(family, n)
     if family.kind is Family.ROGERS and not isinstance(x, complex) and abs(x) > 1.0:
         raise DomainError("Rogers polynomials are defined on [-1, 1]")
-    p_prev: Scalar = 0.0
-    p: Scalar = 1.0
-    for m in range(n):
-        p_next = (x * p - recurrence_coeff(family, m - 1) * p_prev) / recurrence_coeff(family, m)
-        p_prev, p = p, p_next
+    *_, p = _three_term(x, a, d)
     return p
 
 
@@ -118,15 +179,13 @@ def eval_orthonormal_sequence(family: FamilyDescriptor, nmax: int, x) -> np.ndar
 
     Returns an array of shape (nmax+1,) + shape(x).
     """
-    if family.kind is Family.DISCRETE_I:
-        raise UnsupportedFamily("type-I family has no orthonormal recurrence here")
+    if nmax < 0:
+        raise DomainError("nmax must be non-negative")
+    a, d = _orthonormal_coeffs(family, nmax)
     xs = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1,) + xs.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = xs / recurrence_coeff(family, 0)
-    for m in range(1, nmax):
-        out[m + 1] = (xs * out[m] - recurrence_coeff(family, m - 1) * out[m - 1]) / recurrence_coeff(family, m)
+    for m, p in enumerate(_three_term(xs, a, d)):
+        out[m] = p
     return out
 
 
@@ -164,36 +223,27 @@ def _pochhammer_ratio_series(
     if a denominator factor vanishes first.
     """
     qq = q.q
-    term: Scalar = 1.0
-    total: Scalar = 0.0
-    small_run = 0
-    for k in range(pol.max_terms):
-        total = total + term
-        if abs(term) < pol.term_tol:
-            small_run += 1
-            if small_run >= 3:
-                return total
-        else:
-            small_run = 0
-        ratio: Scalar = z / (1.0 - qq ** (k + 1))
-        if extra_sign_gauss:
-            ratio = ratio * (-(qq**k))
-        terminated = False
-        for a in numerators:
-            fa = 1.0 - a * qq**k
-            if abs(fa) < _ZERO_FACTOR_TOL:
-                terminated = True
-                break
-            ratio = ratio * fa
-        if terminated:
-            return total
-        for b in denominators:
-            fb = 1.0 - b * qq**k
-            if abs(fb) < _ZERO_FACTOR_TOL:
-                raise PoleError(f"denominator Pochhammer factor vanished at k = {k + 1}")
-            ratio = ratio / fb
-        term = term * ratio
-    raise ConvergenceError(f"Pochhammer-ratio series: no convergence within {pol.max_terms} terms")
+
+    def terms() -> Iterator[Scalar]:
+        term: Scalar = 1.0
+        for k in itertools.count():
+            yield term
+            ratio: Scalar = z / (1.0 - qq ** (k + 1))
+            if extra_sign_gauss:
+                ratio = ratio * (-(qq**k))
+            for a in numerators:
+                fa = 1.0 - a * qq**k
+                if abs(fa) < _ZERO_FACTOR_TOL:  # the series terminates exactly
+                    return
+                ratio = ratio * fa
+            for b in denominators:
+                fb = 1.0 - b * qq**k
+                if abs(fb) < _ZERO_FACTOR_TOL:
+                    raise PoleError(f"denominator Pochhammer factor vanished at k = {k + 1}")
+                ratio = ratio / fb
+            term = term * ratio
+
+    return _sum_series(terms(), pol, "Pochhammer-ratio series")
 
 
 def phi_2_1(
@@ -239,13 +289,13 @@ def discrete1_eval(n: int, x: float, q: QParam | float) -> float:
 
     Evaluated as q^binom(n,2) * phi(q^{-n}, 1/x; 0 | q; -q x); the series
     carries 1/x yet sums to a degree-n polynomial, so the x = 0 value is
-    taken from the fitted polynomial instead.
+    taken from the monic recurrence instead.
     """
     qp = as_qparam(q)
     if n < 0:
         raise DomainError("degree must be non-negative")
     if x == 0.0:
-        return float(discrete1_polynomial(n, qp)(0.0))
+        return float(_monic(Family.DISCRETE_I, n, 0.0, qp.q))
     qq = qp.q
     pref = qq ** (n * (n - 1) // 2)
     val = phi_2_1(qq ** (-n), 1.0 / x, 0.0, qp, -qq * x)
@@ -253,20 +303,13 @@ def discrete1_eval(n: int, x: float, q: QParam | float) -> float:
 
 
 def discrete1_polynomial(n: int, q: QParam | float) -> np.polynomial.Polynomial:
-    """Degree-n polynomial fitted through n+3 off-origin samples of the
-    type-I series; the overdetermined fit doubles as a polynomiality check."""
+    """Degree-n type-I polynomial, built exactly by the monic recurrence
+    h_{n+1} = x h_n - q^{n-1}(1-q^n) h_{n-1}."""
     qp = as_qparam(q)
-    m = max(n + 3, 2 * n + 2)
-    m += m % 2  # even count keeps every Chebyshev node away from 0
-    # window slightly beyond the orthogonality lattice (-1, 1); values stay
-    # O(1) there, which keeps the sampled continuation well conditioned
-    xs = 1.2 * np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
-    ys = np.array([discrete1_eval(n, float(xv), qp) for xv in xs])
-    poly = np.polynomial.Polynomial.fit(xs, ys, deg=n)
-    resid = np.max(np.abs(poly(xs) - ys))
-    if resid > 1e-9 * max(1.0, float(np.max(np.abs(ys)))):
-        raise ConvergenceError("type-I series did not fit a degree-n polynomial")
-    return poly
+    if n < 0:
+        raise DomainError("degree must be non-negative")
+    x = np.polynomial.Polynomial([0.0, 1.0])
+    return x**0 * _monic(Family.DISCRETE_I, n, x, qp.q)  # x**0 lifts h_0 = 1.0 to a Polynomial
 
 
 def discrete2_eval_series(n: int, x: float, q: QParam | float) -> float:
@@ -290,24 +333,7 @@ def discrete2_eval_series(n: int, x: float, q: QParam | float) -> float:
 def discrete2_eval_monic(n: int, x: Scalar, q: QParam | float) -> Scalar:
     """Monic type-II polynomial via x h_m = h_{m+1} + q^{1-2m}(1-q^m) h_{m-1};
     accepts complex arguments (the recurrence is entire in x)."""
-    qq = as_qparam(q).q
-    h_prev: Scalar = 0.0
-    h: Scalar = 1.0
-    for m in range(n):
-        h_next = x * h - qq ** (1 - 2 * m) * (1.0 - qq**m) * h_prev
-        h_prev, h = h, h_next
-    return h
-
-
-def _qpoch_inf_array(z: np.ndarray, q: float) -> np.ndarray:
-    """(z; q)_inf for an array of complex arguments."""
-    out = np.ones_like(z)
-    zmax = float(np.max(np.abs(z))) if z.size else 0.0
-    s = 0
-    while zmax * q**s >= 1e-18:
-        out = out * (1.0 - z * q**s)
-        s += 1
-    return out
+    return _monic(Family.DISCRETE_II, n, x, as_qparam(q).q)
 
 
 def weight_density(family: FamilyDescriptor, point: float) -> float:
@@ -318,8 +344,7 @@ def weight_density(family: FamilyDescriptor, point: float) -> float:
     a real positive value, which is checked.
     """
     q = family.q.q
-    if family.kind is Family.DISCRETE_I:
-        raise UnsupportedFamily("no orthogonality weight for the type-I family here")
+    orthonormal_laws(family.kind)
     if family.kind is Family.ROGERS:
         if abs(point) >= 1.0:
             raise DomainError("Rogers weight is supported on (-1, 1)")
@@ -349,34 +374,46 @@ def rogers_theta_rule(q: QParam | float, n_nodes: int) -> tuple[np.ndarray, np.n
     w = np.full(n_nodes + 1, step)
     w[0] = w[-1] = 0.5 * step
     u2 = np.exp(2j * theta)
-    dens = _qpoch_inf_array(u2, qq) * _qpoch_inf_array(np.conj(u2), qq)
+    dens = q_pochhammer(u2, qq, math.inf) * q_pochhammer(np.conj(u2), qq, math.inf)
     mass = float(q_pochhammer(qq, qq, math.inf))
     return theta, w * mass / (2.0 * math.pi) * dens.real
 
 
-def _rogers_gram(family: FamilyDescriptor, nmax: int, pol: TruncationPolicy) -> np.ndarray:
+def rogers_quadrature(q: QParam | float, nmax: int, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      tol: float, what: str) -> np.ndarray:
+    """(vals * w) @ rhs(xs, vals) on the Rogers theta rule, where vals holds
+    the orthonormal polynomials of degree 0..nmax at the nodes xs.
+
+    The node count doubles from 128 until the result changes by less than
+    tol relative to its size; QuadratureError names `what` otherwise.
+    """
+    qp = as_qparam(q)
+    fam = rogers(qp)
     n_nodes = 128
     prev = None
     while n_nodes <= 1 << 15:
-        theta, w = rogers_theta_rule(family.q, n_nodes)
-        vals = eval_orthonormal_sequence(family, nmax, np.cos(theta))
-        gram = (vals * w) @ vals.T
-        if prev is not None and float(np.max(np.abs(gram - prev))) < 1e-10 * (1.0 + float(np.max(np.abs(gram)))):
-            return gram
-        prev = gram
+        theta, w = rogers_theta_rule(qp, n_nodes)
+        xs = np.cos(theta)
+        vals = eval_orthonormal_sequence(fam, nmax, xs)
+        result = (vals * w) @ rhs(xs, vals)
+        change = float(np.max(np.abs(result - prev))) if prev is not None else math.inf
+        if change < tol * (1.0 + float(np.max(np.abs(result)))):
+            return result
+        prev = result
         n_nodes *= 2
-    raise QuadratureError("Rogers Gram quadrature did not stabilize under refinement")
+    raise QuadratureError(f"{what} quadrature did not stabilize under refinement")
 
 
-def _psi_sequence_scaled(family: FamilyDescriptor, nmax: int, x: float) -> tuple[np.ndarray, float]:
-    """Type-II orthonormal values at x with a shared log-scale factored out,
-    so that huge lattice points stay inside double range."""
+def _psi_sequence_scaled(a: list[float], d: list[float], x: float) -> tuple[np.ndarray, float]:
+    """Type-II orthonormal values at x (recurrence lists from _orthonormal_coeffs) with a
+    shared log-scale factored out, so that huge lattice points stay inside double range."""
+    nmax = len(d)
     vec = np.empty(nmax + 1)
     log_scale = 0.0
     p_prev, p = 0.0, 1.0
     vec[0] = p
     for m in range(nmax):
-        p_next = (x * p - recurrence_coeff(family, m - 1) * p_prev) / recurrence_coeff(family, m)
+        p_next = (x * p - a[m] * p_prev) / d[m]
         p_prev, p = p, p_next
         big = max(abs(p), abs(p_prev))
         if big > 1e120:
@@ -392,6 +429,7 @@ def _discrete2_gram(family: FamilyDescriptor, nmax: int, pol: TruncationPolicy) 
     q = family.q.q
     c = family.lattice_scale
     gram = np.zeros((nmax + 1, nmax + 1))
+    a, d = _orthonormal_coeffs(family, nmax)
 
     def lattice_term(k: int) -> tuple[np.ndarray, float]:
         xk = c * q**k
@@ -404,7 +442,7 @@ def _discrete2_gram(family: FamilyDescriptor, nmax: int, pol: TruncationPolicy) 
         contrib = np.zeros((nmax + 1, nmax + 1))
         mag = 0.0
         for x in (xk, -xk):
-            vec, log_scale = _psi_sequence_scaled(family, nmax, x)
+            vec, log_scale = _psi_sequence_scaled(a, d, x)
             expo = log_w + 2.0 * log_scale + k * math.log(q)
             if expo > 700.0:  # true lattice terms are bounded; never reached
                 raise ConvergenceError("type-II lattice term overflow")
@@ -437,10 +475,11 @@ def gram_matrix(
     the type-II lattice sum is normalized by its (0,0) entry, after which
     the diagonal must be 1 and degree-independent.
     """
-    if family.kind is Family.DISCRETE_I:
-        raise UnsupportedFamily("no orthogonality data for the type-I family")
+    if nmax < 0:
+        raise DomainError("nmax must be non-negative")
+    orthonormal_laws(family.kind)
     if family.kind is Family.ROGERS:
-        gram = _rogers_gram(family, nmax, pol)
+        gram = rogers_quadrature(family.q, nmax, lambda xs, vals: vals.T, 1e-10, "Rogers Gram")
     else:
         gram = _discrete2_gram(family, nmax, pol)
         gram = gram / gram[0, 0]

@@ -9,8 +9,11 @@ parameter 0 < q < 1.  Everything here is a pure function; all heavy users
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -49,8 +52,8 @@ class TruncationPolicy:
     rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+        if not isinstance(self.max_terms, numbers.Integral) or self.max_terms < 1:
+            raise DomainError(f"max_terms must be an integer >= 1, got {self.max_terms!r}")
         if not (math.isfinite(self.term_tol) and self.term_tol > 0):
             raise DomainError("term_tol must be finite and positive")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
@@ -61,6 +64,9 @@ DEFAULT_POLICY = TruncationPolicy()
 
 #: consecutive sub-threshold terms required before a series is declared done
 _CONSECUTIVE_SMALL = 3
+
+#: an infinite product stops at the first factor 1 - a q^s with |a| q^s below this
+_PRODUCT_CUTOFF = 1e-18
 
 
 def _sum_series(terms: Iterable[Scalar], pol: TruncationPolicy, what: str) -> Scalar:
@@ -102,28 +108,30 @@ def q_factorial(n: int, q: QParam | float) -> float:
     return out
 
 
-def q_pochhammer(a: Scalar, q: QParam | float, k: int | float) -> Scalar:
-    """(a; q)_k = prod_{s=1..k} (1 - a q^{s-1}).
+def q_pochhammer(a, q: QParam | float, k: int | float):
+    """(a; q)_k = prod_{s=1..k} (1 - a q^{s-1}) for a scalar or an ndarray a.
 
     Pass k = math.inf for the convergent infinite product; it is truncated
-    once |a| q^{s-1} falls below the default term tolerance.
+    once max |a| q^{s-1} falls below 1e-18.
     """
     qq = as_qparam(q).q
-    if k is math.inf or (isinstance(k, float) and math.isinf(k) and k > 0):
-        prod: Scalar = 1.0 if not isinstance(a, complex) else 1.0 + 0.0j
-        mag = abs(a)
-        s = 0
-        while mag * qq**s >= DEFAULT_POLICY.term_tol:
-            prod *= 1.0 - a * qq**s
-            s += 1
-            if s > 10 * DEFAULT_POLICY.max_terms:  # unreachable for 0<q<1
-                raise ConvergenceError("infinite q-Pochhammer product did not settle")
-        return prod
-    if not isinstance(k, int) or k < 0:
+    infinite = k is math.inf or (isinstance(k, float) and math.isinf(k) and k > 0)
+    if not infinite and (not isinstance(k, int) or k < 0):
         raise DomainError("q_pochhammer order k must be a non-negative integer or math.inf")
-    prod = 1.0 if not isinstance(a, complex) else 1.0 + 0.0j
-    for s in range(k):
-        prod *= 1.0 - a * qq**s
+    if isinstance(a, np.ndarray):
+        prod, mag = np.ones_like(a), float(np.max(np.abs(a), initial=0.0))
+    else:
+        prod, mag = (1.0 + 0.0j if isinstance(a, complex) else 1.0), abs(a)
+    if not infinite:
+        for s in range(k):
+            prod = prod * (1.0 - a * qq**s)
+        return prod
+    s = 0
+    while mag * qq**s >= _PRODUCT_CUTOFF:
+        prod = prod * (1.0 - a * qq**s)
+        s += 1
+        if s > 10 * DEFAULT_POLICY.max_terms:  # reached only for q above about 0.9996
+            raise ConvergenceError("infinite q-Pochhammer product did not settle")
     return prod
 
 

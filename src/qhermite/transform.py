@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import polyfam
-from .errors import ConvergenceError, DomainError, QuadratureError
+from .errors import ConvergenceError, DomainError
 from .qcore import DEFAULT_POLICY, QParam, TruncationPolicy, as_qparam, q_pochhammer
 
 
@@ -51,25 +51,6 @@ def poisson_kernel(x: float, y: float, spec: KernelSpec) -> complex:
     return complex(np.sum(powers * px * py))
 
 
-def _stable_coefficients(f: Callable[[np.ndarray], np.ndarray], q: QParam, nmax: int) -> np.ndarray:
-    """Quadrature coefficients <phi_n, f> refined until stable to 1e-12."""
-    fam = polyfam.rogers(q)
-    n_nodes = 128
-    prev = None
-    while n_nodes <= 1 << 15:
-        theta, w = polyfam.rogers_theta_rule(q, n_nodes)
-        xs = np.cos(theta)
-        vals = polyfam.eval_orthonormal_sequence(fam, nmax, xs)
-        coeffs = (vals * w) @ np.asarray(f(xs), dtype=complex)
-        if prev is not None and float(np.max(np.abs(coeffs - prev))) < 1e-12 * (
-            1.0 + float(np.max(np.abs(coeffs)))
-        ):
-            return coeffs
-        prev = coeffs
-        n_nodes *= 2
-    raise QuadratureError("transform quadrature did not stabilize under refinement")
-
-
 def gft_apply(
     f: Callable[[np.ndarray], np.ndarray],
     y_grid: Sequence[float],
@@ -84,7 +65,9 @@ def gft_apply(
     """
     qp = as_qparam(q)
     nmax = n_terms - 1
-    coeffs = _stable_coefficients(f, qp, nmax)
+    coeffs = polyfam.rogers_quadrature(
+        qp, nmax, lambda xs, vals: np.asarray(f(xs), dtype=complex), 1e-12, "transform"
+    )
     ys = np.asarray(y_grid, dtype=float)
     vals = polyfam.eval_orthonormal_sequence(polyfam.rogers(qp), nmax, ys)
     phases = (-1j) ** np.arange(n_terms)

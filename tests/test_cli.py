@@ -175,3 +175,18 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["value"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--kind", "polys", "--nmax", "-1"],
+        ["gft", "--nmax", "-1"],
+        ["table", "--kind", "gram", "--family", "discrete2", "--nmax", "-1"],
+    ],
+)
+def test_negative_nmax_is_config_error(args, capsys):
+    status = cli.main(args)
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "configuration error" in err and "Traceback" not in err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qhermite import (
     DomainError,
+    Family,
     PoleError,
     QParam,
     UnsupportedFamily,
@@ -29,6 +30,7 @@ from qhermite import (
     rogers_trig_eval,
     weight_density,
 )
+from qhermite.polyfam import FAMILY_TABLE
 
 
 def _poch(q: float, n: int) -> float:
@@ -264,3 +266,29 @@ def test_eval_sequence_matches_scalar():
     for n in range(7):
         for j, x in enumerate(xs):
             assert seq[n, j] == pytest.approx(eval_orthonormal(fam, n, float(x)), rel=1e-13)
+
+
+def test_monic_and_orthonormal_tables_agree():
+    # x h_n = h_{n+1} + c_n h_{n-1} is the orthonormal recurrence with c_n = b_{n-1}^2
+    for kind in (Family.ROGERS, Family.DISCRETE_II):
+        laws = FAMILY_TABLE[kind]
+        for q in (0.3, 0.5, 0.9):
+            for n in range(1, 20):
+                assert laws.c(n, q) == pytest.approx(laws.b(n - 1, q) ** 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_discrete1_origin_is_exact_zero_for_odd_degree(q):
+    for n in range(1, 13, 2):
+        assert discrete1_eval(n, 0.0, q) == 0.0
+
+
+@pytest.mark.parametrize("q", [0.3, 0.8])
+def test_discrete1_recurrence_matches_series(q):
+    rng = np.random.default_rng(7)
+    for n in range(13):
+        poly = discrete1_polynomial(n, q)
+        assert poly.degree() == n and poly.coef[-1] == 1.0
+        for x in rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50):
+            ser = discrete1_eval(n, float(x), q)
+            assert abs(ser - float(poly(float(x)))) <= 1e-10 * max(1.0, abs(ser))

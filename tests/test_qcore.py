@@ -239,3 +239,17 @@ def test_moment_identity_direct():
         for n in range(0, 16):
             got = jackson_integral(lambda x: e_q_reciprocal(q * x, q) * x**n, a, q)
             assert got == pytest.approx(q_factorial(n, q), rel=1e-9)
+
+
+def test_truncation_policy_rejects_non_integer_max_terms():
+    with pytest.raises(DomainError):
+        TruncationPolicy(max_terms=1.5)
+
+
+def test_q_pochhammer_infinite_on_arrays():
+    zs = np.array([0.0, 0.3, -0.7, 0.5 + 0.5j, 1.5j, np.exp(1j)])
+    for q in Q_GRID:
+        got = q_pochhammer(zs, q, math.inf)
+        assert got.shape == zs.shape
+        for g, z in zip(got, zs):
+            assert g == pytest.approx(q_pochhammer(complex(z), q, math.inf), rel=1e-14, abs=1e-15)
