@@ -162,6 +162,8 @@ def _cmd_table(cfg: RunConfig) -> tuple[dict, list[dict], int]:
         for n, lam in enumerate(oscillator.spectrum(src, cfg.q, nmax)):
             rows.append({"n": n, "lambda": _num(lam)})
     elif cfg.kind == "polys":
+        if nmax < 0:
+            raise DomainError("nmax must be non-negative")
         fam = _family_descriptor(cfg)
         span = 0.99 if cfg.family == "rogers" else 3.0
         xs = np.linspace(-span, span, 41)

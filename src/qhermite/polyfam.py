@@ -14,7 +14,9 @@ b_n, gamma or lambda_n, so those operations reject it.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -136,11 +138,15 @@ def _three_term(x, a: Sequence[float], d: Sequence[float]) -> Iterator:
     """Yield p_0 = 1, p_1, ... of p_{m+1} = (x p_m - a_m p_{m-1}) / d_m with
     p_{-1} = 0, one step per (a_m, d_m) pair.
 
-    x may be a scalar, an ndarray or a numpy Polynomial.
+    x may be a scalar, an ndarray or a numpy Polynomial.  The first step is
+    taken as x / d_0, the same value in one array pass; a_0 is not read.
     """
-    p_prev, p = 0.0, 1.0
+    yield 1.0
+    if not d:
+        return
+    p_prev, p = 1.0, x / d[0]
     yield p
-    for a_m, d_m in zip(a, d):
+    for a_m, d_m in zip(a[1:], d[1:]):
         p_prev, p = p, (x * p - a_m * p_prev) / d_m
         yield p
 
@@ -159,6 +165,11 @@ def _monic(kind: Family, n: int, x, q: float):
     return h
 
 
+def _require_finite(x: Scalar) -> None:
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+
+
 def eval_orthonormal(family: FamilyDescriptor, n: int, x: Scalar) -> Scalar:
     """Orthonormal polynomial of degree n by the three-term recurrence.
 
@@ -167,6 +178,7 @@ def eval_orthonormal(family: FamilyDescriptor, n: int, x: Scalar) -> Scalar:
     """
     if n < 0:
         raise DomainError("degree must be non-negative")
+    _require_finite(x)
     a, d = _orthonormal_coeffs(family, n)
     if family.kind is Family.ROGERS and not isinstance(x, complex) and abs(x) > 1.0:
         raise DomainError("Rogers polynomials are defined on [-1, 1]")
@@ -294,6 +306,7 @@ def discrete1_eval(n: int, x: float, q: QParam | float) -> float:
     qp = as_qparam(q)
     if n < 0:
         raise DomainError("degree must be non-negative")
+    _require_finite(x)
     if x == 0.0:
         return float(_monic(Family.DISCRETE_I, n, 0.0, qp.q))
     qq = qp.q
@@ -361,14 +374,23 @@ def weight_density(family: FamilyDescriptor, point: float) -> float:
     return 1.0 / prod.real
 
 
+#: theta rules kept per process; one verify-all run uses 6 (q, n_nodes) pairs
+_THETA_RULE_CACHE_SIZE = 8
+
+
 def rogers_theta_rule(q: QParam | float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid rule for integrals against the Rogers measure.
 
     Substituting x = cos(theta) cancels the 1/sqrt(1-x^2) singularity and
     leaves a smooth integrand on [0, pi]; returns (theta nodes, weights)
     where the weights already include the measure density in theta.
+    Recent rules are cached, so both arrays are read-only.
     """
-    qq = as_qparam(q).q
+    return _theta_rule(as_qparam(q).q, n_nodes)
+
+
+@functools.lru_cache(maxsize=_THETA_RULE_CACHE_SIZE)
+def _theta_rule(qq: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     theta = np.linspace(0.0, math.pi, n_nodes + 1)
     step = math.pi / n_nodes
     w = np.full(n_nodes + 1, step)
@@ -376,7 +398,10 @@ def rogers_theta_rule(q: QParam | float, n_nodes: int) -> tuple[np.ndarray, np.n
     u2 = np.exp(2j * theta)
     dens = q_pochhammer(u2, qq, math.inf) * q_pochhammer(np.conj(u2), qq, math.inf)
     mass = float(q_pochhammer(qq, qq, math.inf))
-    return theta, w * mass / (2.0 * math.pi) * dens.real
+    weights = w * mass / (2.0 * math.pi) * dens.real
+    theta.setflags(write=False)
+    weights.setflags(write=False)
+    return theta, weights
 
 
 def rogers_quadrature(q: QParam | float, nmax: int, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],

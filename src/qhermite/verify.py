@@ -153,18 +153,22 @@ def suite_crosseval(q: float = 0.5, nmax: int = 12, seed: int = 1234, **_) -> Ve
     for n in range(nmax + 1):
         poch_n = q_pochhammer(q, q, n)
         poly1 = polyfam.discrete1_polynomial(n, q)
-        for x in rng.uniform(-0.99, 0.99, 50):
+        # the trig-sum and series sides stay pointwise: they are the independent path
+        xs = rng.uniform(-0.99, 0.99, 50)
+        recs = polyfam.eval_orthonormal_sequence(fam_r, n, xs)[-1] * math.sqrt(poch_n)
+        for x, rec in zip(xs, recs):
             trig = polyfam.rogers_trig_eval(n, math.acos(x), q)
-            rec = polyfam.eval_orthonormal(fam_r, n, float(x)) * math.sqrt(poch_n)
             worst_r = max(worst_r, abs(trig - rec) / max(1.0, abs(trig)))
-        for x in rng.uniform(0.4, 2.5, 50) * rng.choice([-1.0, 1.0], 50):
+        xs = rng.uniform(0.4, 2.5, 50) * rng.choice([-1.0, 1.0], 50)
+        recs = polyfam.eval_orthonormal_sequence(fam_d2, n, xs)[-1] * math.sqrt(poch_n) * q ** (-n * n / 2.0)
+        for x, rec in zip(xs, recs):
             ser = polyfam.discrete2_eval_series(n, float(x), q)
-            rec = polyfam.eval_orthonormal(fam_d2, n, float(x)) * math.sqrt(poch_n) * q ** (-n * n / 2.0)
             worst_d2 = max(worst_d2, abs(ser - rec) / max(1.0, abs(ser), abs(rec)))
         # the series loses digits to cancellation right at the origin, hence the gap
-        for x in rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50):
+        xs = rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50)
+        for x, rec1 in zip(xs, poly1(xs)):
             ser1 = polyfam.discrete1_eval(n, float(x), q)
-            worst_d1 = max(worst_d1, abs(ser1 - float(poly1(float(x)))) / max(1.0, abs(ser1)))
+            worst_d1 = max(worst_d1, abs(ser1 - rec1) / max(1.0, abs(ser1)))
     return VerificationReport(
         "crosseval",
         (
@@ -262,27 +266,22 @@ def suite_coherent(q: float = 0.5, seed: int = 1234, **_) -> VerificationReport:
     checks.append(_below("continuous norm: auto-dim partial vs closed form", tail, 1e-12))
 
     worst = 0.0
+    thetas = (0.7, 1.9)
+    xs = [math.cos(theta) for theta in thetas]
     for z in (0.4, 0.9 + 0.2j):
         state = coherent.bg_expansion(polyfam.rogers(q), z)
-        for theta in (0.7, 1.9):
-            series = sum(
-                c * polyfam.eval_orthonormal(polyfam.rogers(q), n, math.cos(theta))
-                for n, c in enumerate(state.coefficients)
-            )
+        series = state.coefficients @ polyfam.eval_orthonormal_sequence(polyfam.rogers(q), state.dim - 1, xs)
+        for theta, ser in zip(thetas, series):
             closed = coherent.closed_form_rogers_cs(z, theta, q)
-            worst = max(worst, abs(series - closed) / abs(closed))
+            worst = max(worst, abs(ser - closed) / abs(closed))
     checks.append(_below("continuous closed form vs coefficient series", worst, 1e-9))
 
     worst = 0.0
+    xs = np.linspace(-2.0, 2.0, 10)
     for z in (0.5, 1.0):
-        ratios = []
-        for x in np.linspace(-2.0, 2.0, 10):
-            state = coherent.bg_expansion(polyfam.discrete2(q), z)
-            series = sum(
-                c * polyfam.eval_orthonormal(polyfam.discrete2(q), n, float(x))
-                for n, c in enumerate(state.coefficients)
-            )
-            ratios.append(coherent.closed_form_discrete2_cs(z, float(x), q) / series)
+        state = coherent.bg_expansion(polyfam.discrete2(q), z)
+        series = state.coefficients @ polyfam.eval_orthonormal_sequence(polyfam.discrete2(q), state.dim - 1, xs)
+        ratios = [coherent.closed_form_discrete2_cs(z, float(x), q) / ser for x, ser in zip(xs, series)]
         spread = max(abs(r / ratios[0] - 1.0) for r in ratios)
         worst = max(worst, spread)
     checks.append(_below("lattice closed form x-independence of ratio", worst, 1e-8))

@@ -183,6 +183,7 @@ def test_module_entrypoint_subprocess():
         ["table", "--kind", "polys", "--nmax", "-1"],
         ["gft", "--nmax", "-1"],
         ["table", "--kind", "gram", "--family", "discrete2", "--nmax", "-1"],
+        ["table", "--kind", "polys", "--family", "discrete1", "--nmax", "-1"],
     ],
 )
 def test_negative_nmax_is_config_error(args, capsys):
@@ -190,3 +191,11 @@ def test_negative_nmax_is_config_error(args, capsys):
     err = capsys.readouterr().err
     assert status == 2
     assert "configuration error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family,x", [("rogers", "nan"), ("discrete2", "inf"), ("discrete1", "nan")])
+def test_non_finite_x_is_config_error(family, x, capsys):
+    status = cli.main(["eval", "--family", family, "--n", "3", f"--x={x}"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "configuration error" in err and "finite" in err

@@ -24,6 +24,7 @@ from qhermite import (
     gram_matrix,
     phi_2_1,
     phi_ratio_series,
+    polyfam,
     q_pochhammer,
     recurrence_coeff,
     rogers,
@@ -292,3 +293,32 @@ def test_discrete1_recurrence_matches_series(q):
         for x in rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50):
             ser = discrete1_eval(n, float(x), q)
             assert abs(ser - float(poly(float(x)))) <= 1e-10 * max(1.0, abs(ser))
+
+
+def test_theta_rule_repeat_is_read_only_and_same_bits():
+    first = polyfam.rogers_theta_rule(0.37, 96)
+    again = polyfam.rogers_theta_rule(0.37, 96)
+    fresh = polyfam._theta_rule.__wrapped__(0.37, 96)  # an uncached build
+    for a, b, ref in zip(first, again, fresh):
+        assert not b.flags.writeable
+        assert a.tobytes() == b.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError):
+        again[1][0] = 0.0
+
+
+def test_theta_rule_float_and_qparam_share_one_entry():
+    polyfam._theta_rule.cache_clear()
+    by_float = polyfam.rogers_theta_rule(0.41, 64)
+    by_qparam = polyfam.rogers_theta_rule(QParam(0.41), 64)
+    assert by_qparam[0] is by_float[0] and by_qparam[1] is by_float[1]
+    assert polyfam._theta_rule.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0)])
+def test_non_finite_x_is_domain_error(x):
+    with pytest.raises(DomainError):
+        eval_orthonormal(rogers(0.5), 3, x)
+    with pytest.raises(DomainError):
+        eval_orthonormal(discrete2(0.5), 3, x)
+    with pytest.raises(DomainError):
+        discrete1_eval(3, x, 0.5)

@@ -1,0 +1,94 @@
+"""Verification suites and the vectorized kernels they run on, checked
+against the pointwise loops they replace."""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from qhermite import DomainError, polyfam, qdiff_residual_rogers, verify
+from qhermite.qcore import q_number, q_pochhammer
+
+
+def _qdiff_residual_rogers_pointwise(n, q, theta_grid, perturb_order=None):
+    """The residual of qdiff_residual_rogers, one grid point at a time."""
+    fam = polyfam.rogers(q)
+    s = math.sqrt(q)
+    lam = 4.0 * q ** (1 - n) * q_number(n if perturb_order is None else perturb_order, q)
+
+    def weight(u):
+        return q_pochhammer(u * u, q, math.inf) * q_pochhammer(1.0 / (u * u), q, math.inf) * 2j / (u - 1.0 / u)
+
+    def phi(u):
+        return complex(polyfam.eval_orthonormal(fam, n, (u + 1.0 / u) / 2.0))
+
+    def dq_x(u):
+        return 0.5 * (s - 1.0 / s) * (u - 1.0 / u)
+
+    def weighted(u):
+        return weight(u) * (phi(s * u) - phi(u / s)) / dq_x(u)
+
+    worst = scale = 0.0
+    for th in theta_grid:
+        u = cmath.exp(1j * th)
+        outer = (weighted(s * u) - weighted(u / s)) / dq_x(u)
+        rhs = lam * weight(u) * phi(u)
+        worst = max(worst, abs((1.0 - q) * outer + rhs))
+        scale = max(scale, abs(rhs), abs(weight(u)))
+    return worst / scale
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_qdiff_rogers_grid_matches_pointwise(q):
+    # residuals are already normalized by the equation's scale, so 1e-13
+    # (about 450 ulp of 1) bounds the reordered roundoff of both paths
+    grid = np.linspace(0.1, math.pi - 0.1, 20)
+    for n in range(9):
+        for order in (None, n + 1):
+            got = qdiff_residual_rogers(n, q, grid, perturb_order=order)
+            assert got == pytest.approx(_qdiff_residual_rogers_pointwise(n, q, grid, order), abs=1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.pi - 0.01, math.nan])
+def test_qdiff_rogers_rejects_bad_point_in_array_grid(bad):
+    with pytest.raises(DomainError):
+        qdiff_residual_rogers(2, 0.5, np.array([1.0, bad]))
+
+
+def _crosseval_pointwise(q, nmax, seed):
+    """suite_crosseval's measured values with every side evaluated point by point."""
+    rng = np.random.default_rng(seed)
+    fam_r, fam_d2 = polyfam.rogers(q), polyfam.discrete2(q)
+    worst_r = worst_d2 = worst_d1 = 0.0
+    for n in range(nmax + 1):
+        poch_n = q_pochhammer(q, q, n)
+        poly1 = polyfam.discrete1_polynomial(n, q)
+        for x in rng.uniform(-0.99, 0.99, 50):
+            trig = polyfam.rogers_trig_eval(n, math.acos(x), q)
+            rec = polyfam.eval_orthonormal(fam_r, n, float(x)) * math.sqrt(poch_n)
+            worst_r = max(worst_r, abs(trig - rec) / max(1.0, abs(trig)))
+        for x in rng.uniform(0.4, 2.5, 50) * rng.choice([-1.0, 1.0], 50):
+            ser = polyfam.discrete2_eval_series(n, float(x), q)
+            rec = polyfam.eval_orthonormal(fam_d2, n, float(x)) * math.sqrt(poch_n) * q ** (-n * n / 2.0)
+            worst_d2 = max(worst_d2, abs(ser - rec) / max(1.0, abs(ser), abs(rec)))
+        for x in rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50):
+            ser1 = polyfam.discrete1_eval(n, float(x), q)
+            worst_d1 = max(worst_d1, abs(ser1 - float(poly1(float(x)))) / max(1.0, abs(ser1)))
+    return [worst_r, worst_d2, worst_d1]
+
+
+@pytest.mark.parametrize("seed", [1234, 1])
+def test_crosseval_suite_same_inputs_and_values(seed):
+    report = verify.suite_crosseval(q=0.5, seed=seed)
+    assert report.overall
+    assert [c.bound for c in report.checks] == [1e-10, 1e-10, 1e-10]
+    # same draws and the same arithmetic per point, so the values are equal
+    assert [c.measured for c in report.checks] == _crosseval_pointwise(0.5, 12, seed)
+
+
+@pytest.mark.parametrize("seed", [1234, 1])
+def test_coherent_suite_passes_with_its_bounds(seed):
+    report = verify.suite_coherent(q=0.5, seed=seed)
+    assert report.overall
+    assert [c.bound for c in report.checks] == [1e-9, 1e-9, 1e-10, 1e-10, 1e-12, 1e-9, 1e-8]
