@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -56,7 +57,14 @@ def _family_descriptor(cfg: RunConfig) -> FamilyDescriptor:
     return FamilyDescriptor(kind, as_qparam(cfg.q), cfg.lattice_scale)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the shared, process-wide argument parser.
+
+    It is built on the first call and reused by every later ``main`` call;
+    ``parse_args`` keeps no state on it between calls.  Callers must not
+    mutate it.
+    """
     parser = argparse.ArgumentParser(prog="qhermite", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,6 +338,9 @@ def run(cfg: RunConfig) -> int:
     except (QHermiteError, ValueError, KeyError) as exc:
         print(f"qhermite: configuration error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"qhermite: numerical error: {exc}", file=sys.stderr)
+        return 2
     try:
         emit(meta, rows, cfg)
     except OSError as exc:
@@ -338,11 +349,12 @@ def run(cfg: RunConfig) -> int:
     return status
 
 
+_RUN_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in fields})
+    ns = build_parser().parse_args(argv)
+    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in _RUN_CONFIG_FIELDS})
     return run(cfg)
 
 

@@ -241,6 +241,8 @@ def qdiff_residual_rogers(
     if n < 0:
         raise DomainError("degree must be non-negative")
     thetas = np.asarray(theta_grid, dtype=float)
+    if thetas.size == 0:
+        raise DomainError("theta grid must be non-empty")
     if not np.all((thetas >= 0.05) & (thetas <= math.pi - 0.05)):  # NaN fails too
         raise DomainError("theta grid must stay 0.05 away from the endpoints")
     a, d = polyfam._orthonormal_coeffs(polyfam.rogers(qp), n)

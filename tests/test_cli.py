@@ -199,3 +199,81 @@ def test_non_finite_x_is_config_error(family, x, capsys):
     err = capsys.readouterr().err
     assert status == 2
     assert "configuration error" in err and "finite" in err
+
+
+def test_overflow_is_numerical_error(capsys):
+    status = cli.main(["eval", "--family=discrete2", "--n=2000", "--x=1"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("qhermite: numerical error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_negative_values_in_name_equals_value_form(capsys):
+    status, out = run_cli(["eval", "--x=-3.7e-05", "--format", "json"], capsys)
+    assert status == 0
+    assert json.loads(out)["rows"][0]["x"] == -3.7e-05
+    status, out = run_cli(["coherent", "--z=-0.3,0.2", "--format", "json"], capsys)
+    assert status == 0
+    meta = json.loads(out)["meta"]
+    assert (meta["z_re"], meta["z_im"]) == (-0.3, 0.2)
+
+
+# -- the parser is built once per process and shared by every main() call ---
+
+
+def test_build_parser_is_shared():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _run_captured(args, capsys):
+    status = cli.main(args)
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+MIXED_ARGVS = [
+    ["eval", "--family", "rogers", "--n", "3", "--x", "0.25", "--q", "0.7"],
+    ["eval", "--family=discrete1", "--n=2", "--x=-0.5", "--format", "json"],
+    ["table", "--kind", "polys", "--family", "discrete2", "--nmax", "3", "--format", "csv"],
+    ["table", "--kind", "spectrum", "--q", "0.3", "--nmax", "5", "--format", "json"],
+    ["table", "--kind", "gram", "--family", "discrete2", "--nmax", "3", "--format", "csv"],
+    ["table", "--kind", "coherent", "--family", "discrete2", "--z=-0.3,0.2", "--dim", "6"],
+    ["table"],
+    ["verify", "--suite", "jackson", "--nmax", "8", "--tol", "1e-6", "--format", "json"],
+    ["verify", "--suite", "jackson", "--tol", "0"],
+    ["oscillator", "--family", "discrete2", "--dim", "4", "--kind", "lowering", "--format", "csv"],
+    ["oscillator", "--dim", "3"],
+    ["coherent", "--family", "discrete2", "--z", "1.5,0.0", "--format", "json"],
+    ["gft", "--nmax", "4", "--format", "csv"],
+    ["eval", "--q", "1.5"],
+]
+
+
+def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
+    shared = [_run_captured(args, capsys) for args in MIXED_ARGVS]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_run_captured(args, capsys) for args in MIXED_ARGVS]
+    assert shared == fresh
+    assert [s for s, _, _ in shared].count(0) == len(MIXED_ARGVS) - 2
+
+
+def test_no_default_leaks_between_calls(capsys):
+    assert _run_captured(["table", "--kind=gram", "--nmax=2"], capsys)[0] == 0
+    status, out, _ = _run_captured(["table"], capsys)
+    assert status == 0 and "# kind = spectrum\n" in out
+    assert _run_captured(["oscillator", "--kind=raising"], capsys)[0] == 0
+    status, out, _ = _run_captured(["oscillator"], capsys)
+    assert status == 0 and "# kind = hamiltonian\n" in out
+
+
+def test_argparse_error_leaves_parser_usable(capsys):
+    args = ["eval", "--family=discrete2", "--n=2", "--x=0.5", "--format", "json"]
+    before = _run_captured(args, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--family=nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert before[0] == 0
+    assert _run_captured(args, capsys) == before

@@ -56,6 +56,11 @@ def test_qdiff_rogers_rejects_bad_point_in_array_grid(bad):
         qdiff_residual_rogers(2, 0.5, np.array([1.0, bad]))
 
 
+def test_qdiff_rogers_rejects_empty_grid():
+    with pytest.raises(DomainError, match="non-empty"):
+        qdiff_residual_rogers(2, 0.5, [])
+
+
 def _crosseval_pointwise(q, nmax, seed):
     """suite_crosseval's measured values with every side evaluated point by point."""
     rng = np.random.default_rng(seed)
