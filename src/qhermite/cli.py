@@ -176,7 +176,7 @@ def _cmd_table(cfg: RunConfig) -> tuple[dict, list[dict], int]:
         span = 0.99 if cfg.family == "rogers" else 3.0
         xs = np.linspace(-span, span, 41)
         if cfg.family == "discrete1":
-            vals = [[polyfam.discrete1_eval(n, float(xv), cfg.q) for xv in xs] for n in range(nmax + 1)]
+            vals = [polyfam.discrete1_eval(n, xs, cfg.q) for n in range(nmax + 1)]
         else:
             vals = polyfam.eval_orthonormal_sequence(fam, nmax, xs)
         for j, xv in enumerate(xs):

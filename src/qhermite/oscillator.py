@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -222,7 +223,7 @@ def _rogers_weight_u(u: np.ndarray, q: float) -> np.ndarray:
 
 
 def qdiff_residual_rogers(
-    n: int,
+    n: int | Sequence[int],
     q: QParam | float,
     theta_grid: Sequence[float],
     perturb_order: int | None = None,
@@ -234,41 +235,48 @@ def qdiff_residual_rogers(
     q^{+-1/2} e^{i theta}, and w is the measure density (weight including
     the 1/sqrt(1-x^2) factor; the identity does not close without it).
     perturb_order swaps [n]_q for [perturb_order]_q as a negative control.
-    The whole grid is evaluated at once.
+    n may be a sequence of degrees: the result is then the largest residual
+    over them, each normalized on its own, equal to the max over
+    single-degree calls.  The whole grid and every degree are evaluated at
+    once.
     """
     qp = as_qparam(q)
     q_ = qp.q
-    if n < 0:
+    degrees = [n] if isinstance(n, numbers.Integral) else list(n)
+    if not degrees:
+        raise DomainError("degree sequence must be non-empty")
+    if min(degrees) < 0:
         raise DomainError("degree must be non-negative")
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.size == 0:
         raise DomainError("theta grid must be non-empty")
     if not np.all((thetas >= 0.05) & (thetas <= math.pi - 0.05)):  # NaN fails too
         raise DomainError("theta grid must stay 0.05 away from the endpoints")
-    a, d = polyfam._orthonormal_coeffs(polyfam.rogers(qp), n)
     s = math.sqrt(q_)
-    lam = 4.0 * q_ ** (1 - n) * q_number(n if perturb_order is None else perturb_order, qp)
-
-    def phi(u: np.ndarray) -> np.ndarray:
-        *_, p = polyfam._three_term((u + 1.0 / u) / 2.0, a, d)
-        return p
 
     def dq_x(u: np.ndarray) -> np.ndarray:
         return 0.5 * (s - 1.0 / s) * (u - 1.0 / u)
 
-    def d_phi(u: np.ndarray) -> np.ndarray:
-        return (phi(s * u) - phi(u / s)) / dq_x(u)
-
-    def weighted(u: np.ndarray) -> np.ndarray:
-        return _rogers_weight_u(u, q_) * d_phi(u)
-
     u = np.exp(1j * thetas)
-    outer = (weighted(s * u) - weighted(u / s)) / dq_x(u)
-    w_here = _rogers_weight_u(u, q_)
-    rhs = lam * w_here * phi(u)
-    worst = float(np.max(np.abs((1.0 - q_) * outer + rhs), initial=0.0))
-    scale = float(np.max(np.maximum(np.abs(rhs), np.abs(w_here)), initial=0.0))
-    return worst / scale
+    up, down = s * u, u / s
+    # phi at both half-shifts of up and of down, and at u, in one recurrence pass
+    grids = np.stack([s * up, up / s, s * down, down / s, u])
+    a, d = polyfam._orthonormal_coeffs(polyfam.rogers(qp), max(degrees))
+    phis = np.empty((len(d) + 1,) + grids.shape, dtype=complex)
+    for m, p in enumerate(polyfam._three_term((grids + 1.0 / grids) / 2.0, a, d)):
+        phis[m] = p
+    phi_up_up, phi_up_down, phi_down_up, phi_down_down, phi_here = np.moveaxis(phis[degrees], 1, 0)
+
+    w_up, w_down, w_here = (_rogers_weight_u(v, q_) for v in (up, down, u))
+    weighted_up = w_up * ((phi_up_up - phi_up_down) / dq_x(up))
+    weighted_down = w_down * ((phi_down_up - phi_down_down) / dq_x(down))
+    outer = (weighted_up - weighted_down) / dq_x(u)
+    lam = np.array([[4.0 * q_ ** (1 - m) * q_number(m if perturb_order is None else perturb_order, qp)]
+                    for m in degrees])
+    rhs = lam * w_here * phi_here
+    worst = np.max(np.abs((1.0 - q_) * outer + rhs), axis=1)
+    scale = np.max(np.maximum(np.abs(rhs), np.abs(w_here)), axis=1)
+    return float(np.max(worst / scale))
 
 
 def qdiff_residual_discrete2(

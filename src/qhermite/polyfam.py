@@ -52,6 +52,16 @@ class FamilyLaws:
     lam: Callable[[int, float], float] | None
 
 
+def _discrete2_b(n: int, q: float) -> float:
+    """Type-II b_n = q^{-n-1/2} sqrt(1 - q^{n+1}); past double range it raises
+    OverflowError naming the family, the degree and q."""
+    try:
+        return q ** (-n - 0.5) * math.sqrt(1.0 - q ** (n + 1))
+    except OverflowError:
+        raise OverflowError(f"discrete2 recurrence coefficient b_n overflows double range at degree n = {n}, "
+                            f"q = {q!r}") from None
+
+
 FAMILY_TABLE = {
     Family.ROGERS: FamilyLaws(
         b=lambda n, q: 0.5 * math.sqrt(1.0 - q ** (n + 1)),
@@ -63,7 +73,7 @@ FAMILY_TABLE = {
     # Their q-Analogues, ch. 14 (discrete q-Hermite I)
     Family.DISCRETE_I: FamilyLaws(b=None, c=lambda n, q: q ** (n - 1) * (1.0 - q**n), gamma=None, lam=None),
     Family.DISCRETE_II: FamilyLaws(
-        b=lambda n, q: q ** (-n - 0.5) * math.sqrt(1.0 - q ** (n + 1)),
+        b=_discrete2_b,
         c=lambda n, q: q ** (1 - 2 * n) * (1.0 - q**n),
         gamma=lambda q: math.sqrt(q / (1.0 - q)),
         lam=lambda n, q: q ** (-2 * n) * q_number(n + 1, q) + q ** (2 - 2 * n) * q_number(n, q),
@@ -165,9 +175,14 @@ def _monic(kind: Family, n: int, x, q: float):
     return h
 
 
-def _require_finite(x: Scalar) -> None:
-    if not cmath.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
+def _require_finite(x, name: str = "x") -> None:
+    """Reject a non-finite scalar, or an ndarray with any non-finite element."""
+    if isinstance(x, np.ndarray):
+        bad = x[~np.isfinite(x)]
+        if bad.size:
+            raise DomainError(f"{name} must be finite in every element, got {bad[0]!r}")
+    elif not cmath.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
 
 
 def eval_orthonormal(family: FamilyDescriptor, n: int, x: Scalar) -> Scalar:
@@ -195,29 +210,36 @@ def eval_orthonormal_sequence(family: FamilyDescriptor, nmax: int, x) -> np.ndar
         raise DomainError("nmax must be non-negative")
     a, d = _orthonormal_coeffs(family, nmax)
     xs = np.asarray(x, dtype=float)
+    _require_finite(xs)
     out = np.empty((nmax + 1,) + xs.shape)
     for m, p in enumerate(_three_term(xs, a, d)):
         out[m] = p
     return out
 
 
-def rogers_trig_eval(n: int, theta: float, q: QParam | float) -> float:
+def rogers_trig_eval(n: int, theta, q: QParam | float):
     """Continuous q-Hermite value at cos(theta) from its trigonometric sum.
 
     H_n(cos theta) = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) e^{i(n-2k)theta};
-    the imaginary part cancels pairwise and is checked to vanish.
+    the imaginary part cancels pairwise and is checked to vanish.  theta
+    may be an ndarray; the result then has its shape.
     """
     qq = as_qparam(q).q
+    _require_finite(theta, "theta")
     poch = np.ones(n + 1)
     for k in range(1, n + 1):
         poch[k] = poch[k - 1] * (1.0 - qq**k)
     total = 0.0 + 0.0j
     for k in range(n + 1):
         total += poch[n] / (poch[k] * poch[n - k]) * np.exp(1j * (n - 2 * k) * theta)
-    scale = max(1.0, abs(total.real))
-    if abs(total.imag) > 1e-12 * scale:
+    array = isinstance(theta, np.ndarray)
+    if array:
+        leak = bool(np.any(np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))))
+    else:
+        leak = abs(total.imag) > 1e-12 * max(1.0, abs(total.real))
+    if leak:
         raise ConvergenceError("trigonometric sum produced a non-vanishing imaginary part")
-    return float(total.real)
+    return total.real if array else float(total.real)
 
 
 def _pochhammer_ratio_series(
@@ -232,9 +254,13 @@ def _pochhammer_ratio_series(
     (-1)^k q^binom(k,2) factor (the standard 1-phi-1 normalization).
 
     Terminates exactly when a numerator factor vanishes; raises PoleError
-    if a denominator factor vanishes first.
+    if a denominator factor vanishes first.  z and the parameters may be
+    ndarrays; the sum is then taken per element of their broadcast shape,
+    each element ending on its own, and PoleError is raised if a
+    denominator factor vanishes for any element still running.
     """
     qq = q.q
+    params = (z, *numerators, *denominators)
 
     def terms() -> Iterator[Scalar]:
         term: Scalar = 1.0
@@ -255,7 +281,32 @@ def _pochhammer_ratio_series(
                 ratio = ratio / fb
             term = term * ratio
 
-    return _sum_series(terms(), pol, "Pochhammer-ratio series")
+    if np.ndarray not in map(type, params):
+        return _sum_series(terms(), pol, "Pochhammer-ratio series")
+    running = np.ones(np.broadcast(*params).shape, dtype=bool)
+
+    def array_terms() -> Iterator[np.ndarray]:
+        """terms() per element: an element whose numerator factor vanishes
+        stops running, and from then on adds nothing."""
+        term = np.ones(running.shape)
+        for k in itertools.count():
+            yield term
+            ratio = z / (1.0 - qq ** (k + 1))
+            if extra_sign_gauss:
+                ratio = ratio * (-(qq**k))
+            for a in numerators:
+                fa = 1.0 - a * qq**k
+                running[...] &= abs(fa) >= _ZERO_FACTOR_TOL
+                ratio = ratio * fa
+            for b in denominators:
+                fb = 1.0 - b * qq**k
+                vanished = abs(fb) < _ZERO_FACTOR_TOL
+                if (vanished & running).any():
+                    raise PoleError(f"denominator Pochhammer factor vanished at k = {k + 1}")
+                ratio = ratio / np.where(vanished, 1.0, fb)
+            term = np.where(running, term * ratio, 0.0)
+
+    return _sum_series(array_terms(), pol, "Pochhammer-ratio series", running)
 
 
 def phi_2_1(
@@ -296,21 +347,27 @@ def phi_1_1(
     return _pochhammer_ratio_series((a,), (b,), as_qparam(q), z, pol, extra_sign_gauss=True)
 
 
-def discrete1_eval(n: int, x: float, q: QParam | float) -> float:
+def discrete1_eval(n: int, x, q: QParam | float):
     """Type-I discrete q-Hermite polynomial of degree n.
 
     Evaluated as q^binom(n,2) * phi(q^{-n}, 1/x; 0 | q; -q x); the series
     carries 1/x yet sums to a degree-n polynomial, so the x = 0 value is
-    taken from the monic recurrence instead.
+    taken from the monic recurrence instead.  x may be an ndarray; the
+    result then has its shape.
     """
     qp = as_qparam(q)
     if n < 0:
         raise DomainError("degree must be non-negative")
     _require_finite(x)
-    if x == 0.0:
-        return float(_monic(Family.DISCRETE_I, n, 0.0, qp.q))
     qq = qp.q
     pref = qq ** (n * (n - 1) // 2)
+    if isinstance(x, np.ndarray):
+        out = np.full(x.shape, float(_monic(Family.DISCRETE_I, n, 0.0, qq)))
+        nz = x != 0.0
+        out[nz] = pref * phi_2_1(qq ** (-n), 1.0 / x[nz], 0.0, qp, -qq * x[nz])
+        return out
+    if x == 0.0:
+        return float(_monic(Family.DISCRETE_I, n, 0.0, qq))
     val = phi_2_1(qq ** (-n), 1.0 / x, 0.0, qp, -qq * x)
     return pref * float(val)
 
@@ -325,22 +382,27 @@ def discrete1_polynomial(n: int, q: QParam | float) -> np.polynomial.Polynomial:
     return x**0 * _monic(Family.DISCRETE_I, n, x, qp.q)  # x**0 lifts h_0 = 1.0 to a Polynomial
 
 
-def discrete2_eval_series(n: int, x: float, q: QParam | float) -> float:
+def discrete2_eval_series(n: int, x, q: QParam | float):
     """Type-II discrete q-Hermite polynomial of degree n from its
     terminating series x^n * phi(q^{-n}, q^{-n+1}; 0 | q^2; -q^2/x^2).
 
     Singular presentation only: the result is the same degree-n polynomial
     the recurrence produces.  x = 0 is rejected; use the recurrence there.
+    x may be an ndarray (every element nonzero); the result then has its
+    shape.
     """
     qp = as_qparam(q)
     if n < 0:
         raise DomainError("degree must be non-negative")
-    if x == 0.0:
+    _require_finite(x)
+    array = isinstance(x, np.ndarray)
+    if (np.any(x == 0.0) if array else x == 0.0):
         raise DomainError("series form of the type-II polynomial is singular at x = 0")
     qq = qp.q
     base = QParam(qq * qq)
     val = phi_2_1(qq ** (-n), qq ** (-n + 1), 0.0, base, -(qq * qq) / (x * x))
-    return x**n * float(val)
+    # float_power is libm pow, as Python's x**n; the ufunc power may differ by an ulp
+    return np.float_power(x, n) * val if array else x**n * float(val)
 
 
 def discrete2_eval_monic(n: int, x: Scalar, q: QParam | float) -> Scalar:
@@ -363,7 +425,8 @@ def weight_density(family: FamilyDescriptor, point: float) -> float:
             raise DomainError("Rogers weight is supported on (-1, 1)")
         theta = math.acos(point)
         u2 = complex(math.cos(2 * theta), math.sin(2 * theta))
-        prod = q_pochhammer(u2, q, math.inf) * q_pochhammer(u2.conjugate(), q, math.inf)
+        half = q_pochhammer(u2, q, math.inf)  # the factor at conj(u2) is its conjugate, bit for bit
+        prod = half * half.conjugate()
         if abs(prod.imag) > 1e-12 * max(1.0, abs(prod.real)):
             raise ConvergenceError("Rogers weight product has a non-vanishing imaginary part")
         mass = q_pochhammer(q, q, math.inf)
@@ -396,7 +459,8 @@ def _theta_rule(qq: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     w = np.full(n_nodes + 1, step)
     w[0] = w[-1] = 0.5 * step
     u2 = np.exp(2j * theta)
-    dens = q_pochhammer(u2, qq, math.inf) * q_pochhammer(np.conj(u2), qq, math.inf)
+    half = q_pochhammer(u2, qq, math.inf)  # the factor at conj(u2) is its conjugate, bit for bit
+    dens = half * np.conj(half)
     mass = float(q_pochhammer(qq, qq, math.inf))
     weights = w * mass / (2.0 * math.pi) * dens.real
     theta.setflags(write=False)

@@ -69,12 +69,28 @@ _CONSECUTIVE_SMALL = 3
 _PRODUCT_CUTOFF = 1e-18
 
 
-def _sum_series(terms: Iterable[Scalar], pol: TruncationPolicy, what: str) -> Scalar:
+def _sum_series(terms: Iterable, pol: TruncationPolicy, what: str, running: np.ndarray | None = None):
     """Sum a term stream until three consecutive terms drop below term_tol.
 
-    Raises ConvergenceError if max_terms is exhausted first.
+    Raises ConvergenceError if max_terms is exhausted first.  For ndarray
+    terms, pass `running`, a bool array of their shape shared with the term
+    generator: the rule then applies to each element on its own, clearing
+    its flag once it stops and freezing its total.  The generator may clear
+    flags as well (a series that ends exactly); the sum returns once no
+    flag is left and raises if any is still set at max_terms.
     """
-    total: Scalar = 0.0
+    total = 0.0
+    if running is not None:
+        small_run = np.zeros(running.shape, dtype=int)
+        for k, term in enumerate(terms):
+            if k >= pol.max_terms and running.any():
+                raise ConvergenceError(f"{what}: no convergence within {pol.max_terms} terms")
+            total = np.where(running, total + term, total)
+            small_run = np.where(abs(term) < pol.term_tol, small_run + 1, 0)
+            running &= small_run < _CONSECUTIVE_SMALL
+            if not running.any():
+                break
+        return total
     small_run = 0
     for k, term in enumerate(terms):
         if k >= pol.max_terms:

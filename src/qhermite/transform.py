@@ -114,10 +114,7 @@ def mehler_closed_form_check(
         raise ConvergenceError("kernel series did not settle under truncation doubling")
     theta = math.acos(x)
     u2 = complex(math.cos(2 * theta), math.sin(2 * theta))
-    denom = (
-        q_pochhammer(t * u2, qp, math.inf)
-        * q_pochhammer(t * u2.conjugate(), qp, math.inf)
-        * q_pochhammer(t, qp, math.inf) ** 2
-    )
+    half = q_pochhammer(t * u2, qp, math.inf)  # the factor at t conj(u2) is its conjugate
+    denom = half * half.conjugate() * q_pochhammer(t, qp, math.inf) ** 2
     closed = q_pochhammer(t * t, qp, math.inf) / denom
     return float(val), float(closed.real)

@@ -5,9 +5,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qhermite import cli, verify
+from qhermite import cli, polyfam, verify
 
 
 def run_cli(args, capsys):
@@ -208,6 +209,27 @@ def test_overflow_is_numerical_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("qhermite: numerical error: ")
     assert "Traceback" not in captured.err
+
+
+def test_overflow_message_names_family_degree_and_q(capsys):
+    assert cli.main(["eval", "--family=discrete2", "--n=2000", "--x=1", "--q=0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qhermite: numerical error: discrete2 ")
+    assert "degree n = 1024" in err and "q = 0.5" in err
+
+
+@pytest.mark.parametrize("q", ["0.1", "0.5", "0.9"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_discrete1_polys_table_equals_pointwise_build(q, fmt, tmp_path):
+    args = ["table", "--kind=polys", "--family=discrete1", f"--q={q}", f"--format={fmt}"]
+    assert cli.main(args + [f"--out={tmp_path / 'table'}"]) == 0
+    xs = np.linspace(-3.0, 3.0, 41)
+    assert 0.0 in xs
+    rows = [{"x": cli._num(x)} | {f"p{n}": cli._num(polyfam.discrete1_eval(n, float(x), float(q))) for n in range(11)}
+            for x in xs]
+    meta = {"command": "table", "kind": "polys", "family": "discrete1", "q": float(q)}
+    cli.emit(meta, rows, cli.RunConfig(command="table", fmt=fmt, out=str(tmp_path / "pointwise")))
+    assert (tmp_path / "table").read_bytes() == (tmp_path / "pointwise").read_bytes()
 
 
 def test_negative_values_in_name_equals_value_form(capsys):

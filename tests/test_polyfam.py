@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhermite import (
+    ConvergenceError,
     DomainError,
     Family,
     PoleError,
     QParam,
+    TruncationPolicy,
     UnsupportedFamily,
     discrete1,
     discrete1_eval,
@@ -322,3 +324,132 @@ def test_non_finite_x_is_domain_error(x):
         eval_orthonormal(discrete2(0.5), 3, x)
     with pytest.raises(DomainError):
         discrete1_eval(3, x, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# array inputs of the series evaluators
+# ---------------------------------------------------------------------------
+
+ARRAY_QS = [0.1, 0.3, 0.5, 0.9]
+
+
+def _assert_matches_pointwise(got, fn, points):
+    """got equals fn at each point to 1e-15 relative."""
+    want = np.array([fn(float(p)) for p in points.ravel()]).reshape(points.shape)
+    assert got.shape == points.shape and got.dtype == np.float64
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("q", ARRAY_QS)
+def test_array_evaluators_match_pointwise(q):
+    rng = np.random.default_rng(11)
+    for n in range(13):
+        thetas = rng.uniform(0.0, math.pi, 50)
+        _assert_matches_pointwise(rogers_trig_eval(n, thetas, q), lambda t: rogers_trig_eval(n, t, q), thetas)
+        xs = rng.uniform(0.3, 3.0, 50) * rng.choice([-1.0, 1.0], 50)
+        _assert_matches_pointwise(discrete2_eval_series(n, xs, q), lambda x: discrete2_eval_series(n, x, q), xs)
+        xs = rng.uniform(0.3, 1.5, 50) * rng.choice([-1.0, 1.0], 50)
+        _assert_matches_pointwise(discrete1_eval(n, xs, q), lambda x: discrete1_eval(n, x, q), xs)
+
+
+def test_array_evaluators_keep_shape_and_scalars_stay_float():
+    xs = np.array([[0.4, -1.1, 2.0], [0.9, -0.6, 1.3]])
+    for fn in (rogers_trig_eval, discrete2_eval_series, discrete1_eval):
+        assert fn(4, xs, 0.5).shape == (2, 3)
+        assert type(fn(4, 0.7, 0.5)) is float
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_discrete1_array_terminates_exactly_per_element(n):
+    # at q = 0.5 the numerator 1/x = 2 = q^-1 ends the series after two terms at x = 0.5
+    q = 0.5
+    xs = np.array([0.5, 0.7, -0.5, 1.1, 0.25])
+    _assert_matches_pointwise(discrete1_eval(n, xs, q), lambda x: discrete1_eval(n, x, q), xs)
+    assert discrete1_eval(n, xs, q)[0] == discrete1_eval(n, np.array([0.5]), q)[0]
+    assert discrete1_eval(n, xs, q)[0] == pytest.approx(float(discrete1_polynomial(n, q)(0.5)), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("q", ARRAY_QS)
+def test_discrete1_array_takes_the_recurrence_value_at_zero(q):
+    xs = np.array([0.0, 0.4, 0.0, -0.9])
+    for n in range(13):
+        got = discrete1_eval(n, xs, q)
+        assert got[0] == got[2] == discrete1_eval(n, 0.0, q)
+        _assert_matches_pointwise(got[[1, 3]], lambda x: discrete1_eval(n, x, q), xs[[1, 3]])
+        assert np.array_equal(discrete1_eval(n, np.zeros(3), q), np.full(3, discrete1_eval(n, 0.0, q)))
+
+
+def test_discrete2_array_rejects_any_zero_element():
+    with pytest.raises(DomainError):
+        discrete2_eval_series(3, np.array([0.5, 0.0, 1.0]), 0.5)
+
+
+def test_array_series_convergence_error_when_any_element_fails():
+    pol = TruncationPolicy(max_terms=5)
+    assert phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.0]), pol).tolist() == [1.0, 1.0]
+    with pytest.raises(ConvergenceError):
+        phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]), pol)
+
+
+def test_array_series_pole_only_for_elements_still_running():
+    # a = q^-1 ends the series at k = 1, before the denominator q^-2 vanishes at k = 2
+    q = 0.5
+    got = phi_ratio_series(np.array([q**-1, q**-1]), q**-2, q, 0.2)
+    assert got.tolist() == [phi_ratio_series(q**-1, q**-2, q, 0.2)] * 2
+    with pytest.raises(PoleError):
+        phi_ratio_series(np.array([q**-1, 0.3]), q**-2, q, 0.2)
+
+
+def test_array_series_stopped_element_adds_nothing_more():
+    # the first element ends at k = 1 with a huge z (its factor 1 - q^-1 q is 1.1e-16,
+    # not 0); its later terms would overflow while the second element still runs
+    q = 0.41
+    with np.errstate(over="raise", invalid="raise"):
+        got = phi_ratio_series(np.array([q**-1, 0.0]), 0.0, q, np.array([1e150, 0.9]))
+    assert got.tolist() == [phi_ratio_series(q**-1, 0.0, q, 1e150), phi_ratio_series(0.0, 0.0, q, 0.9)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_array_paths_reject_non_finite_elements(bad):
+    xs = np.array([0.3, bad, 0.8])
+    with pytest.raises(DomainError):
+        eval_orthonormal_sequence(rogers(0.5), 4, xs)
+    with pytest.raises(DomainError):
+        eval_orthonormal_sequence(discrete2(0.5), 4, bad)
+    with pytest.raises(DomainError):
+        rogers_trig_eval(4, xs, 0.5)
+    with pytest.raises(DomainError):
+        discrete1_eval(4, xs, 0.5)
+    with pytest.raises(DomainError):
+        discrete2_eval_series(4, xs, 0.5)
+
+
+def _two_product_theta_rule(qq, n_nodes):
+    """The theta rule with (u2;q)_inf and (conj(u2);q)_inf built as two products."""
+    theta = np.linspace(0.0, math.pi, n_nodes + 1)
+    step = math.pi / n_nodes
+    w = np.full(n_nodes + 1, step)
+    w[0] = w[-1] = 0.5 * step
+    u2 = np.exp(2j * theta)
+    dens = q_pochhammer(u2, qq, math.inf) * q_pochhammer(np.conj(u2), qq, math.inf)
+    mass = float(q_pochhammer(qq, qq, math.inf))
+    return theta, w * mass / (2.0 * math.pi) * dens.real
+
+
+@pytest.mark.parametrize("qq", [0.05, 0.3, 0.5, 0.9, 0.99])
+def test_theta_rule_bits_equal_two_product_build(qq):
+    for n_nodes in (128, 2048):
+        for got, want in zip(polyfam._theta_rule.__wrapped__(qq, n_nodes), _two_product_theta_rule(qq, n_nodes)):
+            assert got.tobytes() == want.tobytes()
+    for x in (-0.93, -0.2, 0.0, 0.41, 0.87):
+        u2 = complex(math.cos(2 * math.acos(x)), math.sin(2 * math.acos(x)))
+        prod = q_pochhammer(u2, qq, math.inf) * q_pochhammer(u2.conjugate(), qq, math.inf)
+        want = float(q_pochhammer(qq, qq, math.inf)) / (2.0 * math.pi) * prod.real / math.sqrt(1.0 - x * x)
+        assert weight_density(rogers(qq), x) == want
+
+
+def test_discrete2_b_overflow_names_family_degree_and_q():
+    with pytest.raises(OverflowError, match=r"discrete2 .*degree n = 1024, q = 0\.5"):
+        eval_orthonormal(discrete2(0.5), 2000, 1.0)
+    with pytest.raises(OverflowError, match=r"discrete2 .*degree n = \d+, q = 0\.05"):
+        recurrence_coeff(discrete2(0.05), 1000)

@@ -68,7 +68,6 @@ def _crosseval_pointwise(q, nmax, seed):
     worst_r = worst_d2 = worst_d1 = 0.0
     for n in range(nmax + 1):
         poch_n = q_pochhammer(q, q, n)
-        poly1 = polyfam.discrete1_polynomial(n, q)
         for x in rng.uniform(-0.99, 0.99, 50):
             trig = polyfam.rogers_trig_eval(n, math.acos(x), q)
             rec = polyfam.eval_orthonormal(fam_r, n, float(x)) * math.sqrt(poch_n)
@@ -79,7 +78,8 @@ def _crosseval_pointwise(q, nmax, seed):
             worst_d2 = max(worst_d2, abs(ser - rec) / max(1.0, abs(ser), abs(rec)))
         for x in rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50):
             ser1 = polyfam.discrete1_eval(n, float(x), q)
-            worst_d1 = max(worst_d1, abs(ser1 - float(poly1(float(x)))) / max(1.0, abs(ser1)))
+            rec1 = polyfam._monic(polyfam.Family.DISCRETE_I, n, float(x), q)
+            worst_d1 = max(worst_d1, abs(ser1 - rec1) / max(1.0, abs(ser1)))
     return [worst_r, worst_d2, worst_d1]
 
 
@@ -97,3 +97,19 @@ def test_coherent_suite_passes_with_its_bounds(seed):
     report = verify.suite_coherent(q=0.5, seed=seed)
     assert report.overall
     assert [c.bound for c in report.checks] == [1e-9, 1e-9, 1e-10, 1e-10, 1e-12, 1e-9, 1e-8]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_qdiff_rogers_degree_sequence_is_max_of_single_degree_calls(q):
+    grid = np.linspace(0.1, math.pi - 0.1, 20)
+    for degrees in (range(9), [4], (7, 2, 0), np.arange(3, 6)):
+        for order in (None, 4):
+            want = max(qdiff_residual_rogers(int(n), q, grid, perturb_order=order) for n in degrees)
+            assert qdiff_residual_rogers(degrees, q, grid, perturb_order=order) == want
+
+
+def test_qdiff_rogers_rejects_empty_or_negative_degrees():
+    with pytest.raises(DomainError, match="non-empty"):
+        qdiff_residual_rogers([], 0.5, [1.0])
+    with pytest.raises(DomainError):
+        qdiff_residual_rogers([2, -1], 0.5, [1.0])
