@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coherent, oscillator, polyfam, transform, verify
-from .errors import DomainError, QHermiteError
+from .errors import ConvergenceError, DomainError, InsufficientData, PoleError, QHermiteError, QuadratureError
 from .polyfam import Family, FamilyDescriptor
 from .qcore import as_qparam
 
@@ -329,17 +329,21 @@ _COMMANDS = {
 }
 
 
+#: failures of a computation on valid input, reported as "numerical error"
+_NUMERICAL_ERRORS = (ArithmeticError, ConvergenceError, QuadratureError, PoleError, InsufficientData)
+
+
 def run(cfg: RunConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
     try:
         if cfg.tol is not None and not cfg.tol > 0:
             raise DomainError("--tol must be positive")
         meta, rows, status = _COMMANDS[cfg.command](cfg)
+    except _NUMERICAL_ERRORS as exc:
+        print(f"qhermite: numerical error: {exc}", file=sys.stderr)
+        return 2
     except (QHermiteError, ValueError, KeyError) as exc:
         print(f"qhermite: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"qhermite: numerical error: {exc}", file=sys.stderr)
         return 2
     try:
         emit(meta, rows, cfg)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import oscillator, polyfam
+from . import polyfam
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -82,7 +82,7 @@ def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None,
     def next_coeff(n: int, prev: complex) -> complex:
         # ratio c_{n+1}/c_n for each family
         if family.kind is Family.ROGERS:
-            return prev * z / math.sqrt(q_number(n + 1, family.q))
+            return prev * z / math.sqrt((1.0 - q ** (n + 1)) / (1.0 - q))  # 1/sqrt([n+1]_q)
         return prev * z * q**n * math.sqrt((1.0 - q) / (1.0 - q ** (n + 1)))
 
     if dim is not None:
@@ -144,12 +144,10 @@ def eigen_residual(state: CoherentStateExpansion) -> float:
     """
     if state.dim < 3:
         raise DimensionError("eigen residual needs dim >= 3")
-    source = oscillator.source_for_family(state.family)
-    q = state.family.q
-    gamma = oscillator.ladder_prefactor(source, q)
+    laws = polyfam.orthonormal_laws(state.family.kind)
+    q = state.family.q.q
     c = state.coefficients
-    m = np.arange(state.dim - 1)
-    lowered = gamma * np.array([source.coeff(int(k), q) for k in m]) * c[1:]
+    lowered = laws.gamma(q) * np.array([laws.b(n, q) for n in range(state.dim - 1)]) * c[1:]
     target = state.z * c[:-1]
     denom = float(np.linalg.norm(target))
     defect = float(np.linalg.norm(lowered - target))

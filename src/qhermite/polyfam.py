@@ -52,14 +52,37 @@ class FamilyLaws:
     lam: Callable[[int, float], float] | None
 
 
+def _discrete2_overflow(quantity: str, n: int, q: float) -> OverflowError:
+    return OverflowError(f"discrete2 {quantity} overflows double range at degree n = {n}, q = {q!r}")
+
+
+# The type-II laws grow like q^{-2n}; past double range each raises an
+# OverflowError naming the family, the quantity, the degree and q.
 def _discrete2_b(n: int, q: float) -> float:
-    """Type-II b_n = q^{-n-1/2} sqrt(1 - q^{n+1}); past double range it raises
-    OverflowError naming the family, the degree and q."""
+    """b_n = q^{-n-1/2} sqrt(1 - q^{n+1})."""
     try:
         return q ** (-n - 0.5) * math.sqrt(1.0 - q ** (n + 1))
     except OverflowError:
-        raise OverflowError(f"discrete2 recurrence coefficient b_n overflows double range at degree n = {n}, "
-                            f"q = {q!r}") from None
+        raise _discrete2_overflow("recurrence coefficient b_n", n, q) from None
+
+
+def _discrete2_c(n: int, q: float) -> float:
+    """c_n = q^{1-2n} (1 - q^n)."""
+    try:
+        return q ** (1 - 2 * n) * (1.0 - q**n)
+    except OverflowError:
+        raise _discrete2_overflow("monic recurrence coefficient c_n", n, q) from None
+
+
+def _discrete2_lam(n: int, q: float) -> float:
+    """lambda_n = q^{-2n} [n+1]_q + q^{2-2n} [n]_q."""
+    try:
+        lam = q ** (-2 * n) * q_number(n + 1, q) + q ** (2 - 2 * n) * q_number(n, q)
+        if lam == math.inf:  # the sum can pass double range with finite terms
+            raise OverflowError
+    except OverflowError:
+        raise _discrete2_overflow("eigenvalue lambda_n", n, q) from None
+    return lam
 
 
 FAMILY_TABLE = {
@@ -74,9 +97,9 @@ FAMILY_TABLE = {
     Family.DISCRETE_I: FamilyLaws(b=None, c=lambda n, q: q ** (n - 1) * (1.0 - q**n), gamma=None, lam=None),
     Family.DISCRETE_II: FamilyLaws(
         b=_discrete2_b,
-        c=lambda n, q: q ** (1 - 2 * n) * (1.0 - q**n),
+        c=_discrete2_c,
         gamma=lambda q: math.sqrt(q / (1.0 - q)),
-        lam=lambda n, q: q ** (-2 * n) * q_number(n + 1, q) + q ** (2 - 2 * n) * q_number(n, q),
+        lam=_discrete2_lam,
     ),
 }
 
@@ -493,65 +516,142 @@ def rogers_quadrature(q: QParam | float, nmax: int, rhs: Callable[[np.ndarray, n
     raise QuadratureError(f"{what} quadrature did not stabilize under refinement")
 
 
-def _psi_sequence_scaled(a: list[float], d: list[float], x: float) -> tuple[np.ndarray, float]:
-    """Type-II orthonormal values at x (recurrence lists from _orthonormal_coeffs) with a
-    shared log-scale factored out, so that huge lattice points stay inside double range."""
-    nmax = len(d)
-    vec = np.empty(nmax + 1)
-    log_scale = 0.0
-    p_prev, p = 0.0, 1.0
-    vec[0] = p
-    for m in range(nmax):
-        p_next = (x * p - a[m] * p_prev) / d[m]
-        p_prev, p = p, p_next
-        big = max(abs(p), abs(p_prev))
-        if big > 1e120:
-            p /= big
-            p_prev /= big
-            vec[: m + 1] /= big
-            log_scale += math.log(big)
-        vec[m + 1] = p
-    return vec, log_scale
+#: lattice points evaluated together in one block of the type-II Gram sum;
+#: the cap bounds the block temporaries
+_LATTICE_BLOCK_MAX = 64
+
+#: matrix entries per outer-product temporary of the Gram sum (1 MiB of
+#: float64); a block's points are added in chunks of at most this size
+_GRAM_CHUNK_ENTRIES = 1 << 17
+
+
+def _lattice_log_weights(x: np.ndarray, q: float) -> np.ndarray:
+    """log w(x) = -sum_s log1p(x^2 q^{2s}) for each lattice point, the sum
+    stopping at the first term below 1e-18.
+
+    Terms are formed as (x*x) * q**(2s) with Python pow and mapped through
+    math.log1p, and each row is added up in s order by cumsum, so every
+    value equals the term-by-term scalar loop bit for bit.
+    """
+    x2 = x * x
+    top = float(np.max(x2))  # the largest point has the longest run of live terms
+    q2s = list(itertools.takewhile(lambda p: top * p >= 1e-18, (q ** (2 * s) for s in itertools.count())))
+    if not q2s:
+        return np.zeros(x.shape)
+    t = x2[:, None] * np.array(q2s)
+    live = np.logical_and.accumulate(t >= 1e-18, axis=1)
+    live_t = t[live]
+    logs = np.zeros(t.shape)
+    # a few thousand terms at a time keep the list of Python floats short
+    logs[live] = np.concatenate([np.fromiter(map(math.log1p, live_t[lo : lo + 4096].tolist()), float)
+                                 for lo in range(0, live_t.size, 4096)])
+    return 0.0 - np.cumsum(logs, axis=1)[:, -1]
+
+
+def _scaled_sequence(a: list[float], d: list[float], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal values of degree 0..len(d) at each point of x (one column
+    per point), given the recurrence lists of _orthonormal_coeffs.
+
+    Whenever max(|p_m|, |p_{m-1}|) of a point passes 1e120, that point's
+    column is divided by it and its log is added to the point's log-scale,
+    so that huge lattice points stay inside double range.  After each step
+    |p_m| <= 1e120, so the maximum can pass 1e120 only as |p_{m+1}|.
+    """
+    vals = np.empty((len(d) + 1, x.size))
+    vals[0] = 1.0
+    log_scale = np.zeros(x.size)
+    for m in range(len(d)):
+        p = vals[m + 1]
+        np.multiply(x, vals[m], out=p)
+        if m:  # a_0 p_{-1} = 0
+            p -= a[m] * vals[m - 1]
+        p /= d[m]
+        size = np.abs(p)
+        over = size > 1e120
+        if over.any():
+            div = size[over]
+            vals[: m + 2, over] /= div
+            log_scale[over] += list(map(math.log, div.tolist()))
+    return vals, log_scale
+
+
+def _lattice_points(c: float, q: float, ks: range) -> np.ndarray:
+    """c * q**k for k in ks, ending early before a k whose q**k overflows
+    (the first k of the range still raises)."""
+    xs = []
+    for k in ks:
+        try:
+            xs.append(c * q**k)
+        except OverflowError:
+            if not xs:
+                raise
+            break
+    return np.array(xs)
+
+
+def _weighted_outer(factor: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """factor[j] * outer(vecs[:, j], vecs[:, j]) for each column j, stacked."""
+    v = vecs.T
+    out = v[:, :, None] * v[:, None, :]
+    out *= factor[:, None, None]
+    return out
 
 
 def _discrete2_gram(family: FamilyDescriptor, nmax: int, pol: TruncationPolicy) -> np.ndarray:
+    """Unnormalized Gram sum over the lattice {+-c q^k}.
+
+    Each side (k = 0, 1, ... then k = -1, -2, ...) is evaluated in blocks of
+    points and stops three points after its terms fall below term_tol.  The
+    points of a block past the stop are discarded; the used points add to
+    the matrix in lattice order, +x before -x, so the sum equals the
+    point-by-point loop bit for bit.  The sum starts from +0.0, and
+    +0.0 + -0.0 is +0.0, so a zero entry is +0.0 whatever the sign of the
+    zero terms added to it.
+    """
     q = family.q.q
     c = family.lattice_scale
-    gram = np.zeros((nmax + 1, nmax + 1))
     a, d = _orthonormal_coeffs(family, nmax)
-
-    def lattice_term(k: int) -> tuple[np.ndarray, float]:
-        xk = c * q**k
-        # log of w(x) = 1 / prod_s (1 + x^2 q^{2s}) to avoid overflow
-        log_w = 0.0
-        s = 0
-        while xk * xk * q ** (2 * s) >= 1e-18:
-            log_w -= math.log1p(xk * xk * q ** (2 * s))
-            s += 1
-        contrib = np.zeros((nmax + 1, nmax + 1))
-        mag = 0.0
-        for x in (xk, -xk):
-            vec, log_scale = _psi_sequence_scaled(a, d, x)
-            expo = log_w + 2.0 * log_scale + k * math.log(q)
-            if expo > 700.0:  # true lattice terms are bounded; never reached
-                raise ConvergenceError("type-II lattice term overflow")
-            factor = math.exp(expo)  # underflows cleanly to 0 far out
-            contrib += factor * np.outer(vec, vec)
-            mag = max(mag, factor * float(np.max(np.abs(vec))) ** 2)
-        return contrib, mag
-
-    for direction in (1, -1):
+    log_q = math.log(q)
+    gram = np.zeros((nmax + 1, nmax + 1))
+    chunk = max(1, _GRAM_CHUNK_ENTRIES // (nmax + 1) ** 2)
+    # the positive side decays like q^k: about log(term_tol)/log(q) points, then the three small ones
+    first_positive = min(max(int(math.log(pol.term_tol) / log_q) + 4, 1), _LATTICE_BLOCK_MAX)
+    for direction, size in ((1, first_positive), (-1, 8)):
         k = 0 if direction == 1 else -1
         small_run = 0
         steps = 0
         while small_run < 3:
-            contrib, mag = lattice_term(k)
-            gram += contrib
-            small_run = small_run + 1 if mag < pol.term_tol else 0
-            k += direction
-            steps += 1
-            if steps > pol.max_terms:
-                raise ConvergenceError("type-II lattice sum did not decay within max_terms")
+            xs = _lattice_points(c, q, range(k, k + direction * size, direction))
+            n = xs.size
+            ks = np.arange(k, k + direction * n, direction)
+            # points past the stop may overflow to inf or nan; they are discarded unread
+            with np.errstate(over="ignore", invalid="ignore"):
+                log_w = _lattice_log_weights(xs, q)
+                vals, log_scale = _scaled_sequence(a, d, np.concatenate([xs, -xs]))
+                expo = (np.tile(log_w, 2) + 2.0 * log_scale + np.tile(ks, 2) * log_q).tolist()
+            peak = np.max(np.abs(vals), axis=0).tolist()
+            factor = np.zeros(2 * n)
+            used = 0
+            while used < n and small_run < 3:
+                i, j = used, used + n  # +x, -x
+                if expo[i] > 700.0 or expo[j] > 700.0:  # past math.exp's range
+                    raise ConvergenceError("type-II lattice term overflow")
+                f_plus, f_minus = math.exp(expo[i]), math.exp(expo[j])  # underflow cleanly to 0 far out
+                factor[i], factor[j] = f_plus, f_minus
+                mag = max(0.0, f_plus * peak[i] ** 2, f_minus * peak[j] ** 2)
+                small_run = small_run + 1 if mag < pol.term_tol else 0
+                used += 1
+                steps += 1
+                if steps > pol.max_terms:
+                    raise ConvergenceError("type-II lattice sum did not decay within max_terms")
+            for lo in range(0, used, chunk):
+                hi = min(lo + chunk, used)
+                pair = _weighted_outer(factor[lo:hi], vals[:, lo:hi])
+                pair += _weighted_outer(factor[n + lo : n + hi], vals[:, n + lo : n + hi])
+                pair[0] += gram
+                gram = np.add.accumulate(pair)[-1]  # adds in lattice order, as a running sum does
+            k += direction * n
+            size = min(2 * size, _LATTICE_BLOCK_MAX)
     return c * (1.0 - q) * gram
 
 

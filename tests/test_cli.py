@@ -218,6 +218,28 @@ def test_overflow_message_names_family_degree_and_q(capsys):
     assert "degree n = 1024" in err and "q = 0.5" in err
 
 
+def test_spectrum_overflow_names_the_eigenvalue(capsys):
+    assert cli.main(["table", "--kind=spectrum", "--family=discrete2", "--nmax=600"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qhermite: numerical error: discrete2 eigenvalue lambda_n overflows double range "
+                            "at degree n = 512, q = 0.5\n")
+
+
+@pytest.mark.parametrize("args,message", [
+    # QuadratureError; q = 0.5 and --nmax=600 fail the same way, in seconds rather than 0.1 s
+    (["table", "--kind=gram", "--family=discrete2", "--q=0.1", "--nmax=160"], "off-diagonal Gram mass"),
+    # InsufficientData from the radius estimator
+    (["verify", "--suite=radius", "--q=0.1"], "coefficient magnitudes must be positive and finite"),
+])
+def test_numerical_failures_are_reported_as_numerical_errors(args, message, capsys):
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qhermite: numerical error: {message}")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("q", ["0.1", "0.5", "0.9"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_discrete1_polys_table_equals_pointwise_build(q, fmt, tmp_path):

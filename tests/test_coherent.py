@@ -24,12 +24,14 @@ from qhermite import (
     moment_recurrence_check,
     overlap,
     q_factorial,
+    q_number,
     radius_estimate,
     resolution_moment_check,
     resolution_moment_profile,
     rogers,
     rogers_radius,
 )
+from qhermite import oscillator
 
 
 def _poch(q: float, n: int) -> float:
@@ -234,3 +236,44 @@ def test_moment_recurrence_examples():
     assert moment_recurrence_check(1, 0.5) < 1e-10
     assert moment_recurrence_check(10, 0.5) < 1e-9
     assert moment_recurrence_check(10, 0.5, perturb_base=0.25) > 1e-2
+
+
+def _expansion_with_q_number(fam, z, dim):
+    """bg_expansion coefficients with the Rogers ratio built from q_number."""
+    q = fam.q.q
+    coeffs = [1.0 + 0.0j]
+    for n in range(dim - 1):
+        if fam.kind.value == "rogers":
+            coeffs.append(coeffs[-1] * z / math.sqrt(q_number(n + 1, fam.q)))
+        else:
+            coeffs.append(coeffs[-1] * z * q**n * math.sqrt((1.0 - q) / (1.0 - q ** (n + 1))))
+    return np.array(coeffs)
+
+
+def _residual_with_bn_sequence(state):
+    """eigen_residual with b_n read through BnSequence.coeff, one call per slot."""
+    source = oscillator.source_for_family(state.family)
+    gamma = oscillator.ladder_prefactor(source, state.family.q)
+    c = state.coefficients
+    lowered = gamma * np.array([source.coeff(int(k), state.family.q) for k in np.arange(state.dim - 1)]) * c[1:]
+    target = state.z * c[:-1]
+    denom = float(np.linalg.norm(target))
+    defect = float(np.linalg.norm(lowered - target))
+    return defect if denom == 0.0 else defect / denom
+
+
+def test_float_q_numbers_and_table_bn_match_the_public_routes_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        q = float(rng.uniform(0.05, 0.95))
+        fam = rogers(q) if rng.uniform() < 0.5 else discrete2(q)
+        rmax = 0.9 * rogers_radius(q) if fam.kind.value == "rogers" else 3.0
+        z = complex(rng.uniform(0.0, rmax) * np.exp(2j * math.pi * rng.uniform()))
+        dim = int(rng.integers(3, 60))
+        state = bg_expansion(fam, z, dim=dim)
+        want = _expansion_with_q_number(fam, z, dim) / math.sqrt(state.norm_sq_closed)
+        assert state.coefficients.tobytes() == want.tobytes()
+        assert eigen_residual(state) == _residual_with_bn_sequence(state)
+        grown = bg_expansion(fam, z)
+        assert grown.coefficients.tobytes() == (_expansion_with_q_number(fam, z, grown.dim)
+                                                / math.sqrt(grown.norm_sq_closed)).tobytes()

@@ -185,3 +185,9 @@ def test_source_for_family_roundtrip():
     src = source_for_family(discrete2(0.5))
     assert src.coeff(0, 0.5) == pytest.approx(1.0, rel=1e-14)
     assert src.coeff(-1, 0.5) == 0.0
+
+
+def test_discrete2_spectrum_overflow_names_family_quantity_degree_and_q():
+    message = r"^discrete2 eigenvalue lambda_n overflows double range at degree n = 512, q = 0\.5$"
+    with pytest.raises(OverflowError, match=message):
+        spectrum(discrete2_bn(), 0.5, 600)

@@ -453,3 +453,15 @@ def test_discrete2_b_overflow_names_family_degree_and_q():
         eval_orthonormal(discrete2(0.5), 2000, 1.0)
     with pytest.raises(OverflowError, match=r"discrete2 .*degree n = \d+, q = 0\.05"):
         recurrence_coeff(discrete2(0.05), 1000)
+
+
+def test_discrete2_c_and_lambda_overflow_name_family_quantity_degree_and_q():
+    with pytest.raises(OverflowError, match=r"^discrete2 monic recurrence coefficient c_n .*degree n = 513, q = 0\.5$"):
+        discrete2_eval_monic(600, 1.0, 0.5)
+    lam = FAMILY_TABLE[Family.DISCRETE_II].lam
+    with pytest.raises(OverflowError, match=r"^discrete2 eigenvalue lambda_n .*degree n = 600, q = 0\.5$"):
+        lam(600, 0.5)
+    # both terms are finite at n = 993, q = 0.7; only their sum passes double range
+    assert math.isfinite(0.7 ** (-2 * 993)) and math.isfinite(0.7 ** (2 - 2 * 993))
+    with pytest.raises(OverflowError, match=r"^discrete2 eigenvalue lambda_n .*degree n = 993, q = 0\.7$"):
+        lam(993, 0.7)
