@@ -25,8 +25,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, QuadratureError, UnsupportedFamily
-from .qcore import (DEFAULT_POLICY, QParam, Scalar, TruncationPolicy, _sum_series, as_qparam, q_number,
-                    q_pochhammer)
+from .qcore import (DEFAULT_POLICY, QParam, Scalar, TruncationPolicy, _q_powers, _sum_series, _terms_above_cutoff,
+                    as_qparam, q_number, q_pochhammer)
 
 
 class Family(enum.Enum):
@@ -529,16 +529,17 @@ def _lattice_log_weights(x: np.ndarray, q: float) -> np.ndarray:
     """log w(x) = -sum_s log1p(x^2 q^{2s}) for each lattice point, the sum
     stopping at the first term below 1e-18.
 
-    Terms are formed as (x*x) * q**(2s) with Python pow and mapped through
-    math.log1p, and each row is added up in s order by cumsum, so every
-    value equals the term-by-term scalar loop bit for bit.
+    Terms are formed as (x*x) * q**(2s), each power equal to Python's
+    q ** (2*s), and mapped through math.log1p, and each row is added up in
+    s order by cumsum, so every value equals the term-by-term scalar loop
+    bit for bit.
     """
     x2 = x * x
     top = float(np.max(x2))  # the largest point has the longest run of live terms
-    q2s = list(itertools.takewhile(lambda p: top * p >= 1e-18, (q ** (2 * s) for s in itertools.count())))
-    if not q2s:
+    n_terms = _terms_above_cutoff(q, top, step=2)
+    if not n_terms:
         return np.zeros(x.shape)
-    t = x2[:, None] * np.array(q2s)
+    t = x2[:, None] * _q_powers(q, 0, n_terms, step=2)
     live = np.logical_and.accumulate(t >= 1e-18, axis=1)
     live_t = t[live]
     logs = np.zeros(t.shape)

@@ -68,6 +68,16 @@ _CONSECUTIVE_SMALL = 3
 #: an infinite product stops at the first factor 1 - a q^s with |a| q^s below this
 _PRODUCT_CUTOFF = 1e-18
 
+#: q_pochhammer takes the powers of q in runs of this many (64 KiB of float64)
+_POWER_RUN = 1 << 13
+
+#: q_pochhammer multiplies an array's factors in blocks of this many
+#: entries, the running product included (128 KiB of complex128) ...
+_POCHHAMMER_BLOCK_ENTRIES = 1 << 13
+#: ... when a block holds at least this many factors; larger arrays take
+#: them one at a time, as blocks of fewer factors did not measure faster
+_POCHHAMMER_MIN_ROWS = 8
+
 
 def _sum_series(terms: Iterable, pol: TruncationPolicy, what: str, running: np.ndarray | None = None):
     """Sum a term stream until three consecutive terms drop below term_tol.
@@ -124,30 +134,98 @@ def q_factorial(n: int, q: QParam | float) -> float:
     return out
 
 
+def _q_powers(q: float, start: int, stop: int, step: int = 1) -> np.ndarray:
+    """q**(step*s) for s in range(start, stop) as a float64 array.
+
+    np.float_power calls libm's pow as Python's q ** n does, so each power
+    equals q ** (step*s) bit for bit.
+    """
+    return np.float_power(q, np.arange(start * step, stop * step, step, dtype=float))
+
+
+def _terms_above_cutoff(q: float, mag: float, step: int = 1) -> int:
+    """The first s >= 0 where mag * q**(step*s) >= 1e-18 fails: the factor
+    count of an infinite product over max |a| = mag.
+
+    The test falls monotonically in s, so s is found by stepping from an
+    estimate of where it fails with the loop's own float test.
+    """
+    if not mag >= _PRODUCT_CUTOFF:  # s = 0, where q**0 is 1.0
+        return 0
+    edge = max(_PRODUCT_CUTOFF / mag, 5e-324)  # the smallest double, where q**s underflows
+    s = max(int(math.log(edge) / (step * math.log(q))), 1)
+    while not mag * q ** (step * (s - 1)) >= _PRODUCT_CUTOFF:
+        s -= 1
+    while mag * q ** (step * s) >= _PRODUCT_CUTOFF:
+        s += 1
+    return s
+
+
+def _multiply_factors(prod: np.ndarray, a: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """prod (1 - a p_0) (1 - a p_1) ... over the given powers of q, for a
+    numeric array a of two or more entries, equal bit for bit to the factor
+    loop.
+
+    A block of factors is written below the running product and multiplied
+    out by one np.multiply.reduce along the rows.  With initial=None the
+    reduce starts from the first row, not from the identity (1+0j would
+    change the sign of a -0.0 in a complex product), and multiplies in the
+    loop's order, (prod f_0) f_1 ...  An array too large for
+    _POCHHAMMER_MIN_ROWS factors per block takes them one at a time, in
+    place.
+    """
+    dtype = np.result_type(a, 1.0)  # that of a * p for a Python float p
+    rows = _POCHHAMMER_BLOCK_ENTRIES // a.size - 1
+    if rows < _POCHHAMMER_MIN_ROWS:
+        prod = np.array(prod, dtype)
+        factor = np.empty_like(prod)
+        for p in powers.tolist():
+            np.multiply(a, p, out=factor)
+            np.subtract(1.0, factor, out=factor)
+            np.multiply(prod, factor, out=prod)
+        return prod
+    real = np.finfo(dtype).dtype
+    buf = np.empty((min(rows, powers.size) + 1,) + a.shape, dtype)
+    # a complex a times a real p: the component products are those of a * (p + 0j), and any
+    # sign of zero they differ in is lost in 1 - a p
+    src, out = (np.ascontiguousarray(a).view(real), buf.view(real)) if dtype.kind == "c" else (a, buf)
+    col = powers.astype(real).reshape((-1,) + (1,) * a.ndim)
+    for lo in range(0, powers.size, rows):
+        m = min(rows, powers.size - lo)
+        np.multiply(src, col[lo : lo + m], out=out[1 : m + 1])
+        np.subtract(1.0, buf[1 : m + 1], out=buf[1 : m + 1])
+        buf[0] = prod
+        prod = np.multiply.reduce(buf[: m + 1], axis=0, initial=None)
+    return prod
+
+
 def q_pochhammer(a, q: QParam | float, k: int | float):
     """(a; q)_k = prod_{s=1..k} (1 - a q^{s-1}) for a scalar or an ndarray a.
 
     Pass k = math.inf for the convergent infinite product; it is truncated
-    once max |a| q^{s-1} falls below 1e-18.
+    once max |a| q^{s-1} falls below 1e-18.  The result equals the product
+    taken one factor at a time in s order bit for bit.
     """
     qq = as_qparam(q).q
     infinite = k is math.inf or (isinstance(k, float) and math.isinf(k) and k > 0)
-    if not infinite and (not isinstance(k, int) or k < 0):
+    if not infinite and (not isinstance(k, numbers.Integral) or k < 0):
         raise DomainError("q_pochhammer order k must be a non-negative integer or math.inf")
     if isinstance(a, np.ndarray):
         prod, mag = np.ones_like(a), float(np.max(np.abs(a), initial=0.0))
     else:
         prod, mag = (1.0 + 0.0j if isinstance(a, complex) else 1.0), abs(a)
-    if not infinite:
-        for s in range(k):
-            prod = prod * (1.0 - a * qq**s)
-        return prod
-    s = 0
-    while mag * qq**s >= _PRODUCT_CUTOFF:
-        prod = prod * (1.0 - a * qq**s)
-        s += 1
-        if s > 10 * DEFAULT_POLICY.max_terms:  # reached only for q above about 0.9996
+    if infinite:
+        k = _terms_above_cutoff(qq, mag)
+        if k > 10 * DEFAULT_POLICY.max_terms:  # reached only for q above about 0.9996
             raise ConvergenceError("infinite q-Pochhammer product did not settle")
+    for lo in range(0, k, _POWER_RUN):
+        powers = _q_powers(qq, lo, min(lo + _POWER_RUN, k))
+        # a 1-element array stays in the loop: numpy reduces it with another complex multiply
+        if isinstance(a, np.ndarray) and a.size > 1 and a.dtype.kind in "biufc":
+            prod = _multiply_factors(prod, a, powers)
+        else:
+            for p in powers.tolist():
+                prod = prod * (1.0 - a * p)
     return prod
 
 
