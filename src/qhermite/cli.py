@@ -1,17 +1,18 @@
 """Command-line surface: evaluation tables, verification suites, exports.
 
-Subcommands: eval, table, verify, oscillator, coherent, gft.  Output goes
-to stdout or --out as pretty text, CSV (header row, LF, UTF-8), or JSON
-({"meta": {...}, "rows": [...]}).  Floats are emitted in shortest
-round-trip form so CSV and JSON carry bit-identical values.  Exit status:
-0 success, 1 failed verification, 2 configuration error.
+Subcommands: eval, table, verify, oscillator, coherent, gft.  Each takes
+--format, --out and only the options it reads (_COMMANDS); any other
+option exits 2.  Output goes to stdout or --out as pretty text, CSV
+(header row, LF, UTF-8), or JSON ({"meta": {...}, "rows": [...]}).
+Floats are emitted in shortest round-trip form so CSV and JSON carry
+bit-identical values.  Exit status: 0 success, 1 failed verification,
+2 a configuration or numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -23,25 +24,26 @@ import numpy as np
 from . import coherent, oscillator, polyfam, transform, verify
 from .errors import ConvergenceError, DomainError, InsufficientData, PoleError, QHermiteError, QuadratureError
 from .polyfam import Family, FamilyDescriptor
-from .qcore import as_qparam
 
 
 @dataclass
 class RunConfig:
+    """One command and its options; a default stands for an option the argv leaves out."""
+
     command: str
     family: str = "rogers"
     q: float = 0.5
-    n: int | None = None
+    n: int = 0
     nmax: int | None = None
     dim: int | None = None
-    x: float | None = None
-    z: complex | None = None
+    x: float = 0.0
+    z: complex = complex(1.0, 0.0)
     lattice_scale: float = 1.0
     tol: float | None = None
     seed: int = 1234
     fmt: str = "pretty"
     out: str | None = None
-    suite: str | None = None
+    suite: str = "all"
     kind: str | None = None
 
 
@@ -53,8 +55,32 @@ def _parse_complex(text: str) -> complex:
 
 
 def _family_descriptor(cfg: RunConfig) -> FamilyDescriptor:
-    kind = Family(cfg.family)
-    return FamilyDescriptor(kind, as_qparam(cfg.q), cfg.lattice_scale)
+    return FamilyDescriptor(Family(cfg.family), cfg.q, cfg.lattice_scale)
+
+
+#: every option, once: its add_argument keywords.  An option left out of the
+#: argv is left out of the namespace, and RunConfig supplies its default.
+_OPTIONS = {
+    "family": dict(choices=["rogers", "discrete1", "discrete2"]),
+    "q": dict(type=float),
+    "n": dict(type=int),
+    "nmax": dict(type=int),
+    "dim": dict(type=int),
+    "x": dict(type=float),
+    "z": dict(type=_parse_complex, metavar="RE,IM"),
+    "c": dict(dest="lattice_scale", type=float, help="lattice scale of the discrete-II family"),
+    "tol": dict(type=float),
+    "seed": dict(type=int),
+    "suite": dict(help="suite name or 'all' (%s)" % ", ".join(sorted(verify.SUITES))),
+    "format": dict(dest="fmt", choices=["csv", "json", "pretty"]),
+    "out": dict(),
+}
+
+#: the --kind choices of the commands that read --kind
+_KINDS = {
+    "table": ["polys", "spectrum", "gram", "coherent"],
+    "oscillator": [k.value for k in oscillator.OperatorKind],
+}
 
 
 @functools.cache
@@ -63,41 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     It is built on the first call and reused by every later ``main`` call;
     ``parse_args`` keeps no state on it between calls.  Callers must not
-    mutate it.
+    mutate it.  Each subcommand takes --format, --out and the options its
+    command function reads; any other option exits 2.
     """
     parser = argparse.ArgumentParser(prog="qhermite", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", choices=["rogers", "discrete1", "discrete2"], default="rogers")
-        p.add_argument("--q", type=float, default=0.5)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--x", type=float, default=None)
-        p.add_argument("--z", type=_parse_complex, default=None, metavar="RE,IM")
-        p.add_argument("--c", dest="lattice_scale", type=float, default=1.0,
-                       help="lattice scale of the discrete-II family")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=1234)
-        p.add_argument("--format", dest="fmt", choices=["csv", "json", "pretty"], default="pretty")
-        p.add_argument("--out", type=str, default=None)
-
-    common(sub.add_parser("eval", help="evaluate one polynomial value"))
-    p_table = sub.add_parser("table", help="emit a rectangular data table")
-    common(p_table)
-    p_table.add_argument("--kind", choices=["polys", "spectrum", "gram", "coherent"],
-                         default="spectrum")
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify)
-    p_verify.add_argument("--suite", default="all",
-                          help="suite name or 'all' (%s)" % ", ".join(sorted(verify.SUITES)))
-    p_osc = sub.add_parser("oscillator", help="dump a truncated operator matrix")
-    common(p_osc)
-    p_osc.add_argument("--kind", choices=[k.value for k in oscillator.OperatorKind],
-                       default="hamiltonian")
-    common(sub.add_parser("coherent", help="coherent-state expansion summary"))
-    common(sub.add_parser("gft", help="generalized Fourier transform diagnostics"))
+    for name, (_, help_text, options) in _COMMANDS.items():
+        # no abbreviations: a prefix such as --n would otherwise reach --nmax
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for opt in options + ("format", "out"):
+            p.add_argument(f"--{opt}", **(dict(choices=_KINDS[name]) if opt == "kind" else _OPTIONS[opt]))
     return parser
 
 
@@ -150,26 +151,36 @@ def emit(meta: dict, rows: list[dict], cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _rows(columns: dict) -> list[dict]:
+    """Zip equal-length named columns, in the dict's order, into table rows."""
+    names = list(columns)
+    return [dict(zip(names, map(_num, cells))) for cells in zip(*columns.values())]
+
+
+def _coherent_rows(state: coherent.CoherentStateExpansion) -> list[dict]:
+    c = state.coefficients.tolist()
+    # Python's abs: np.abs can differ from it in the last bit
+    return _rows({"n": range(len(c)), "abs": [abs(v) for v in c],
+                  "re": [v.real for v in c], "im": [v.imag for v in c]})
+
+
 def _cmd_eval(cfg: RunConfig) -> tuple[dict, list[dict], int]:
-    n = cfg.n if cfg.n is not None else 0
-    x = cfg.x if cfg.x is not None else 0.0
     if cfg.family == "discrete1":
-        value = polyfam.discrete1_eval(n, x, cfg.q)
+        value = polyfam.discrete1_eval(cfg.n, cfg.x, cfg.q)
     else:
-        value = polyfam.eval_orthonormal(_family_descriptor(cfg), n, x)
+        value = polyfam.eval_orthonormal(_family_descriptor(cfg), cfg.n, cfg.x)
     meta = {"command": "eval", "family": cfg.family, "q": _num(cfg.q)}
-    return meta, [{"n": n, "x": _num(x), "value": _num(value)}], 0
+    return meta, [{"n": cfg.n, "x": _num(cfg.x), "value": _num(value)}], 0
 
 
 def _cmd_table(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     nmax = cfg.nmax if cfg.nmax is not None else 10
-    meta = {"command": "table", "kind": cfg.kind, "family": cfg.family, "q": _num(cfg.q)}
-    rows: list[dict] = []
-    if cfg.kind == "spectrum":
-        src = oscillator.source_for_family(_family_descriptor(cfg))
-        for n, lam in enumerate(oscillator.spectrum(src, cfg.q, nmax)):
-            rows.append({"n": n, "lambda": _num(lam)})
-    elif cfg.kind == "polys":
+    kind = cfg.kind or "spectrum"
+    meta = {"command": "table", "kind": kind, "family": cfg.family, "q": _num(cfg.q)}
+    if kind == "spectrum":
+        lam = oscillator.spectrum(oscillator.source_for_family(_family_descriptor(cfg)), cfg.q, nmax)
+        rows = _rows({"n": range(len(lam)), "lambda": lam})
+    elif kind == "polys":
         if nmax < 0:
             raise DomainError("nmax must be non-negative")
         fam = _family_descriptor(cfg)
@@ -179,36 +190,29 @@ def _cmd_table(cfg: RunConfig) -> tuple[dict, list[dict], int]:
             vals = [polyfam.discrete1_eval(n, xs, cfg.q) for n in range(nmax + 1)]
         else:
             vals = polyfam.eval_orthonormal_sequence(fam, nmax, xs)
-        for j, xv in enumerate(xs):
-            row = {"x": _num(xv)}
-            for n in range(nmax + 1):
-                row[f"p{n}"] = _num(vals[n][j])
-            rows.append(row)
-    elif cfg.kind == "gram":
+        rows = _rows({"x": xs} | {f"p{n}": vals[n] for n in range(nmax + 1)})
+    elif kind == "gram":
         report = polyfam.gram_matrix(_family_descriptor(cfg), nmax)
         meta["max_offdiag"] = _num(report.max_offdiag)
         meta["diag_spread"] = _num(report.diag_spread)
-        for i in range(report.dimension):
-            row = {"i": i}
-            for j in range(report.dimension):
-                row[f"g{j}"] = _num(report.matrix[i, j])
-            rows.append(row)
+        dim = report.dimension
+        rows = _rows({"i": range(dim)} | {f"g{j}": report.matrix[:, j] for j in range(dim)})
     else:  # coherent
-        z = cfg.z if cfg.z is not None else complex(1.0, 0.0)
-        state = coherent.bg_expansion(_family_descriptor(cfg), z, dim=cfg.dim)
+        state = coherent.bg_expansion(_family_descriptor(cfg), cfg.z, dim=cfg.dim)
         meta.update(
-            z_re=_num(z.real), z_im=_num(z.imag),
+            z_re=_num(cfg.z.real), z_im=_num(cfg.z.imag),
             norm_sq_closed=_num(state.norm_sq_closed),
             norm_sq_partial=_num(state.norm_sq_partial),
         )
-        for n, cval in enumerate(state.coefficients):
-            rows.append({"n": n, "abs": _num(abs(cval)), "re": _num(cval.real), "im": _num(cval.imag)})
+        rows = _coherent_rows(state)
     return meta, rows, 0
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+    if cfg.tol is not None and not cfg.tol > 0:
+        raise DomainError("--tol must be positive")
     reports = verify.run_suites(
-        cfg.suite or "all",
+        cfg.suite,
         q=cfg.q,
         nmax=cfg.nmax,
         dim=cfg.dim,
@@ -217,7 +221,6 @@ def _cmd_verify(cfg: RunConfig) -> tuple[dict, list[dict], int]:
         lattice_scale=cfg.lattice_scale,
     )
     rows = []
-    overall = True
     for rep in reports:
         for chk in rep.checks:
             bound, passed = chk.bound, chk.passed
@@ -225,23 +228,11 @@ def _cmd_verify(cfg: RunConfig) -> tuple[dict, list[dict], int]:
             # (which must EXCEED their floor) keep the built-in semantics
             if cfg.tol is not None and "[control>]" not in chk.name:
                 bound, passed = cfg.tol, chk.measured < cfg.tol
-            rows.append(
-                {
-                    "suite": rep.suite,
-                    "check": chk.name,
-                    "measured": _num(chk.measured),
-                    "bound": _num(bound),
-                    "passed": bool(passed),
-                }
-            )
-            overall = overall and passed
-    meta = {
-        "command": "verify",
-        "suite": cfg.suite or "all",
-        "q": _num(cfg.q),
-        "seed": cfg.seed,
-        "overall": overall,
-    }
+            rows.append({"suite": rep.suite, "check": chk.name, "measured": _num(chk.measured),
+                         "bound": _num(bound), "passed": bool(passed)})
+    overall = all(row["passed"] for row in rows)
+    meta = {"command": "verify", "suite": cfg.suite, "q": _num(cfg.q), "seed": cfg.seed,
+            "overall": overall}
     return meta, rows, 0 if overall else 1
 
 
@@ -253,79 +244,59 @@ def _cmd_oscillator(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     op = oscillator.build_operator(kind, src, cfg.q, dim)
     meta = {"command": "oscillator", "family": cfg.family, "q": _num(cfg.q),
             "kind": kind.value, "dim": dim}
-    if fam.kind is Family.ROGERS:
-        meta["arik_coon_residual"] = _num(
-            oscillator.commutator_residual(oscillator.Relation.ARIK_COON, src, cfg.q, max(dim, 3))
-        )
-    else:
-        meta["q_inverse_residual"] = _num(
-            oscillator.commutator_residual(oscillator.Relation.Q_INVERSE, src, cfg.q, max(dim, 3))
-        )
-    rows = []
-    for i in range(dim):
-        row: dict = {"i": i}
-        for j in range(dim):
-            row[f"re{j}"] = _num(op.entries[i, j].real)
-            row[f"im{j}"] = _num(op.entries[i, j].imag)
-        rows.append(row)
-    return meta, rows, 0
+    relation, key = ((oscillator.Relation.ARIK_COON, "arik_coon_residual") if fam.kind is Family.ROGERS
+                     else (oscillator.Relation.Q_INVERSE, "q_inverse_residual"))
+    meta[key] = _num(oscillator.commutator_residual(relation, src, cfg.q, max(dim, 3)))
+    cols = {"i": range(dim)}
+    for j in range(dim):
+        cols[f"re{j}"], cols[f"im{j}"] = op.entries[:, j].real, op.entries[:, j].imag
+    return meta, _rows(cols), 0
 
 
 def _cmd_coherent(cfg: RunConfig) -> tuple[dict, list[dict], int]:
-    z = cfg.z if cfg.z is not None else complex(1.0, 0.0)
-    state = coherent.bg_expansion(_family_descriptor(cfg), z, dim=cfg.dim)
+    state = coherent.bg_expansion(_family_descriptor(cfg), cfg.z, dim=cfg.dim)
     meta = {
         "command": "coherent",
         "family": cfg.family,
         "q": _num(cfg.q),
-        "z_re": _num(z.real),
-        "z_im": _num(z.imag),
+        "z_re": _num(cfg.z.real),
+        "z_im": _num(cfg.z.imag),
         "dim": state.dim,
         "norm_sq_closed": _num(state.norm_sq_closed),
         "norm_sq_partial": _num(state.norm_sq_partial),
         "eigen_residual": _num(coherent.eigen_residual(state)),
     }
-    rows = [
-        {"n": n, "abs": _num(abs(c)), "re": _num(c.real), "im": _num(c.imag)}
-        for n, c in enumerate(state.coefficients)
-    ]
-    return meta, rows, 0
+    return meta, _coherent_rows(state), 0
 
 
 def _cmd_gft(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     nmax = cfg.nmax if cfg.nmax is not None else 8
     f_mat = transform.gft_matrix(nmax, cfg.q)
     eye = np.eye(nmax + 1)
+    diag = np.diag(f_mat)
     expected = (-1j) ** np.arange(nmax + 1)
-    diag_dev = float(np.max(np.abs(np.diag(f_mat) - expected)))
     meta = {
         "command": "gft",
         "q": _num(cfg.q),
         "nmax": nmax,
-        "max_diag_deviation": _num(diag_dev),
+        "max_diag_deviation": _num(float(np.max(np.abs(diag - expected)))),
         "unitarity_defect": _num(float(np.max(np.abs(f_mat.conj().T @ f_mat - eye)))),
         "fourth_power_defect": _num(float(np.max(np.abs(np.linalg.matrix_power(f_mat, 4) - eye)))),
     }
-    rows = [
-        {
-            "n": n,
-            "diag_re": _num(f_mat[n, n].real),
-            "diag_im": _num(f_mat[n, n].imag),
-            "expected_re": _num(expected[n].real),
-            "expected_im": _num(expected[n].imag),
-        }
-        for n in range(nmax + 1)
-    ]
+    rows = _rows({"n": range(nmax + 1), "diag_re": diag.real, "diag_im": diag.imag,
+                  "expected_re": expected.real, "expected_im": expected.imag})
     return meta, rows, 0
 
 
+#: command -> (its function, help, the options it reads besides --format and --out)
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "oscillator": _cmd_oscillator,
-    "coherent": _cmd_coherent,
-    "gft": _cmd_gft,
+    "eval": (_cmd_eval, "evaluate one polynomial value", ("family", "q", "n", "x")),
+    "table": (_cmd_table, "emit a rectangular data table", ("kind", "family", "q", "nmax", "z", "dim", "c")),
+    "verify": (_cmd_verify, "run a verification suite",
+               ("suite", "family", "q", "nmax", "dim", "c", "tol", "seed")),
+    "oscillator": (_cmd_oscillator, "dump a truncated operator matrix", ("kind", "family", "q", "dim")),
+    "coherent": (_cmd_coherent, "coherent-state expansion summary", ("family", "q", "z", "dim")),
+    "gft": (_cmd_gft, "generalized Fourier transform diagnostics", ("q", "nmax")),
 }
 
 
@@ -336,9 +307,7 @@ _NUMERICAL_ERRORS = (ArithmeticError, ConvergenceError, QuadratureError, PoleErr
 def run(cfg: RunConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
     try:
-        if cfg.tol is not None and not cfg.tol > 0:
-            raise DomainError("--tol must be positive")
-        meta, rows, status = _COMMANDS[cfg.command](cfg)
+        meta, rows, status = _COMMANDS[cfg.command][0](cfg)
     except _NUMERICAL_ERRORS as exc:
         print(f"qhermite: numerical error: {exc}", file=sys.stderr)
         return 2
@@ -353,13 +322,8 @@ def run(cfg: RunConfig) -> int:
     return status
 
 
-_RUN_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
-
-
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in _RUN_CONFIG_FIELDS})
-    return run(cfg)
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

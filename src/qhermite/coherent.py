@@ -8,6 +8,7 @@ of the resolution of unity.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -117,14 +118,20 @@ def bg_expansion(
     """
     z = complex(z)
     polyfam.orthonormal_laws(family.kind)  # rejects type-I, whose normalization series has radius zero
+    if not cmath.isfinite(z):
+        raise DomainError(f"coherent states need a finite z, got {z!r}")
     q = family.q.q
     if family.kind is Family.ROGERS and abs(z) >= rogers_radius(q):
         raise DomainError(f"continuous-family states need |z| < {rogers_radius(q)}")
+    try:
+        abs_sq = abs(z) ** 2
+    except OverflowError:
+        raise OverflowError(f"coherent state |z|^2 overflows double range at |z| = {abs(z)!r}") from None
     raw = _unnormalized_coeffs(family, z, dim, pol)
     if family.kind is Family.ROGERS:
-        norm_sq = float(e_q_tilde((1.0 - q) * abs(z) ** 2, family.q, pol).real)
+        norm_sq = float(e_q_tilde((1.0 - q) * abs_sq, family.q, pol).real)
     else:
-        norm_sq = float(e_q_gaussian(abs(z) ** 2, family.q, pol).real)
+        norm_sq = float(e_q_gaussian(abs_sq, family.q, pol).real)
     partial = float(np.sum(np.abs(raw) ** 2))
     return CoherentStateExpansion(
         family=family,

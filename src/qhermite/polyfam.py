@@ -116,8 +116,8 @@ def orthonormal_laws(kind: Family) -> FamilyLaws:
 class FamilyDescriptor:
     """A polynomial family together with its deformation and lattice scale.
 
-    lattice_scale is the c > 0 of the type-II lattice {+-c q^k}; it is
-    ignored by the other families.
+    lattice_scale is the finite c > 0 of the type-II lattice {+-c q^k}; it
+    is ignored by the other families.
     """
 
     kind: Family
@@ -127,8 +127,8 @@ class FamilyDescriptor:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", as_qparam(self.q))
         object.__setattr__(self, "lattice_scale", float(self.lattice_scale))
-        if not self.lattice_scale > 0:
-            raise DomainError("lattice_scale must be positive")
+        if not 0 < self.lattice_scale < math.inf:
+            raise DomainError(f"lattice_scale must be positive and finite, got {self.lattice_scale!r}")
 
 
 def rogers(q: QParam | float) -> FamilyDescriptor:
@@ -678,6 +678,6 @@ def gram_matrix(
     max_offdiag = float(np.max(np.abs(off))) if dim > 1 else 0.0
     diag = np.diag(gram)
     diag_spread = float(np.max(np.abs(diag / diag.mean() - 1.0)))
-    if max_offdiag > 1e-6:
+    if not max_offdiag <= 1e-6:  # a NaN Gram fails too
         raise QuadratureError(f"off-diagonal Gram mass {max_offdiag:.3e} exceeds 1e-6")
     return GramReport(dimension=dim, matrix=gram, max_offdiag=max_offdiag, diag_spread=diag_spread)

@@ -75,8 +75,9 @@ _POWER_RUN = 1 << 13
 #: entries, the running product included (128 KiB of complex128) ...
 _POCHHAMMER_BLOCK_ENTRIES = 1 << 13
 #: ... when a block holds at least this many factors; larger arrays take
-#: them one at a time, as blocks of fewer factors did not measure faster
+#: the factor loop, as blocks of fewer factors did not measure faster
 _POCHHAMMER_MIN_ROWS = 8
+_POCHHAMMER_MAX_SIZE = _POCHHAMMER_BLOCK_ENTRIES // (_POCHHAMMER_MIN_ROWS + 1)
 
 
 def _sum_series(terms: Iterable, pol: TruncationPolicy, what: str, running: np.ndarray | None = None):
@@ -163,27 +164,17 @@ def _terms_above_cutoff(q: float, mag: float, step: int = 1) -> int:
 
 def _multiply_factors(prod: np.ndarray, a: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """prod (1 - a p_0) (1 - a p_1) ... over the given powers of q, for a
-    numeric array a of two or more entries, equal bit for bit to the factor
-    loop.
+    numeric array a of 2 to _POCHHAMMER_MAX_SIZE entries, equal bit for bit
+    to the factor loop.
 
     A block of factors is written below the running product and multiplied
     out by one np.multiply.reduce along the rows.  With initial=None the
     reduce starts from the first row, not from the identity (1+0j would
     change the sign of a -0.0 in a complex product), and multiplies in the
-    loop's order, (prod f_0) f_1 ...  An array too large for
-    _POCHHAMMER_MIN_ROWS factors per block takes them one at a time, in
-    place.
+    loop's order, (prod f_0) f_1 ...
     """
     dtype = np.result_type(a, 1.0)  # that of a * p for a Python float p
     rows = _POCHHAMMER_BLOCK_ENTRIES // a.size - 1
-    if rows < _POCHHAMMER_MIN_ROWS:
-        prod = np.array(prod, dtype)
-        factor = np.empty_like(prod)
-        for p in powers.tolist():
-            np.multiply(a, p, out=factor)
-            np.subtract(1.0, factor, out=factor)
-            np.multiply(prod, factor, out=prod)
-        return prod
     real = np.finfo(dtype).dtype
     buf = np.empty((min(rows, powers.size) + 1,) + a.shape, dtype)
     # a complex a times a real p: the component products are those of a * (p + 0j), and any
@@ -221,7 +212,7 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
     for lo in range(0, k, _POWER_RUN):
         powers = _q_powers(qq, lo, min(lo + _POWER_RUN, k))
         # a 1-element array stays in the loop: numpy reduces it with another complex multiply
-        if isinstance(a, np.ndarray) and a.size > 1 and a.dtype.kind in "biufc":
+        if isinstance(a, np.ndarray) and 1 < a.size <= _POCHHAMMER_MAX_SIZE and a.dtype.kind in "biufc":
             prod = _multiply_factors(prod, a, powers)
         else:
             for p in powers.tolist():

@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit statuses, reproducibility."""
 
+import argparse
 import csv
 import json
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qhermite import cli, polyfam, verify
+from qhermite import cli, coherent, oscillator, polyfam, transform, verify
 
 
 def run_cli(args, capsys):
@@ -202,6 +203,27 @@ def test_non_finite_x_is_config_error(family, x, capsys):
     assert "configuration error" in err and "finite" in err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["table", "--kind=gram", "--family=discrete2", "--c=inf"], "lattice_scale must be positive and finite"),
+    (["verify", "--suite=gram", "--c=nan"], "lattice_scale must be positive and finite"),
+    (["coherent", "--z=nan,0"], "coherent states need a finite z"),
+    (["table", "--kind=coherent", "--family=discrete2", "--z=0,-inf"], "coherent states need a finite z"),
+])
+def test_non_finite_c_and_z_are_config_errors(args, message, capsys):
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qhermite: configuration error: {message}")
+
+
+def test_nan_gram_is_numerical_error(capsys, monkeypatch):
+    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax, pol: np.full((nmax + 1, nmax + 1), np.nan))
+    assert cli.main(["table", "--kind=gram", "--family=discrete2", "--nmax=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qhermite: numerical error: off-diagonal Gram mass nan exceeds 1e-6\n"
+
+
 def test_overflow_is_numerical_error(capsys):
     status = cli.main(["eval", "--family=discrete2", "--n=2000", "--x=1"])
     captured = capsys.readouterr()
@@ -231,6 +253,7 @@ def test_spectrum_overflow_names_the_eigenvalue(capsys):
     (["table", "--kind=gram", "--family=discrete2", "--q=0.1", "--nmax=160"], "off-diagonal Gram mass"),
     # InsufficientData from the radius estimator
     (["verify", "--suite=radius", "--q=0.1"], "coefficient magnitudes must be positive and finite"),
+    (["coherent", "--family=discrete2", "--z=1e200,0"], "coherent state |z|^2 overflows double range at |z| = 1e+200"),
 ])
 def test_numerical_failures_are_reported_as_numerical_errors(args, message, capsys):
     assert cli.main(args) == 2
@@ -321,3 +344,144 @@ def test_argparse_error_leaves_parser_usable(capsys):
     assert "invalid choice" in capsys.readouterr().err
     assert before[0] == 0
     assert _run_captured(args, capsys) == before
+
+
+# -- each command takes --format, --out and only the options it reads --------
+
+DECLARED = {
+    "eval": ("family", "q", "n", "x"),
+    "table": ("kind", "family", "q", "nmax", "z", "dim", "c"),
+    "verify": ("suite", "family", "q", "nmax", "dim", "c", "tol", "seed"),
+    "oscillator": ("kind", "family", "q", "dim"),
+    "coherent": ("family", "q", "z", "dim"),
+    "gft": ("q", "nmax"),
+}
+#: option -> (argument text, parsed value)
+OPTION_VALUES = {"family": ("discrete2", "discrete2"), "q": ("0.25", 0.25), "n": ("3", 3), "nmax": ("4", 4),
+                 "dim": ("5", 5), "x": ("-0.5", -0.5), "z": ("-0.3,0.2", complex(-0.3, 0.2)), "c": ("2.0", 2.0),
+                 "tol": ("1e-6", 1e-6), "seed": ("7", 7), "suite": ("jackson", "jackson"),
+                 "format": ("json", "json"), "out": ("table.csv", "table.csv")}
+KIND_VALUES = {"table": "gram", "oscillator": "raising"}
+DESTS = {"c": "lattice_scale", "format": "fmt"}
+
+
+def test_the_cli_has_41_settable_values():
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: tuple(a.option_strings[0][2:] for a in p._actions if a.dest != "help")
+               for name, p in commands.choices.items()}
+    assert options == {name: opts + ("format", "out") for name, opts in DECLARED.items()}
+    assert sum(map(len, options.values())) == 41
+
+
+@pytest.mark.parametrize("option", ["kind", *OPTION_VALUES])
+@pytest.mark.parametrize("command", DECLARED)
+def test_each_command_parses_only_the_options_it_reads(command, option, capsys):
+    text, value = (KIND_VALUES.get(command, "polys"),) * 2 if option == "kind" else OPTION_VALUES[option]
+    argv = [command, f"--{option}={text}"]
+    if option in DECLARED[command] + ("format", "out"):
+        assert getattr(cli.build_parser().parse_args(argv), DESTS.get(option, option)) == value
+    else:
+        # an undeclared option, even one a declared option's name starts with (--n, --nmax)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# -- table rows against reference builders that fill one cell at a time -------
+
+
+def _reference_rows(cfg):
+    fam = polyfam.FamilyDescriptor(polyfam.Family(cfg.family), cfg.q, cfg.lattice_scale)
+    num = cli._num
+    rows = []
+    if cfg.command == "eval":
+        value = (polyfam.discrete1_eval(cfg.n, cfg.x, cfg.q) if cfg.family == "discrete1"
+                 else polyfam.eval_orthonormal(fam, cfg.n, cfg.x))
+        rows.append({"n": cfg.n, "x": num(cfg.x), "value": num(value)})
+    elif cfg.command == "verify":
+        for rep in verify.run_suites(cfg.suite, q=cfg.q, nmax=cfg.nmax, dim=cfg.dim, seed=cfg.seed,
+                                     lattice_scale=cfg.lattice_scale):
+            for chk in rep.checks:
+                bound, passed = chk.bound, chk.passed
+                if cfg.tol is not None and "[control>]" not in chk.name:
+                    bound, passed = cfg.tol, chk.measured < cfg.tol
+                rows.append({"suite": rep.suite, "check": chk.name, "measured": num(chk.measured),
+                             "bound": num(bound), "passed": bool(passed)})
+    elif cfg.command == "oscillator":
+        dim = cfg.dim if cfg.dim is not None else 8
+        op = oscillator.build_operator(oscillator.OperatorKind(cfg.kind), oscillator.source_for_family(fam), cfg.q, dim)
+        for i in range(dim):
+            row = {"i": i}
+            for j in range(dim):
+                row[f"re{j}"] = num(op.entries[i, j].real)
+                row[f"im{j}"] = num(op.entries[i, j].imag)
+            rows.append(row)
+    elif cfg.command == "gft":
+        nmax = cfg.nmax if cfg.nmax is not None else 8
+        f_mat = transform.gft_matrix(nmax, cfg.q)
+        expected = (-1j) ** np.arange(nmax + 1)
+        for n in range(nmax + 1):
+            rows.append({"n": n, "diag_re": num(f_mat[n, n].real), "diag_im": num(f_mat[n, n].imag),
+                         "expected_re": num(expected[n].real), "expected_im": num(expected[n].imag)})
+    elif cfg.command == "coherent" or cfg.kind == "coherent":
+        state = coherent.bg_expansion(fam, cfg.z, dim=cfg.dim)
+        for n, c in enumerate(state.coefficients):
+            rows.append({"n": n, "abs": num(abs(c)), "re": num(c.real), "im": num(c.imag)})
+    elif cfg.kind == "spectrum":
+        lam = oscillator.spectrum(oscillator.source_for_family(fam), cfg.q, cfg.nmax)
+        for n, value in enumerate(lam):
+            rows.append({"n": n, "lambda": num(value)})
+    elif cfg.kind == "polys":
+        span = 0.99 if cfg.family == "rogers" else 3.0
+        xs = np.linspace(-span, span, 41)
+        if cfg.family == "discrete1":
+            vals = [polyfam.discrete1_eval(n, xs, cfg.q) for n in range(cfg.nmax + 1)]
+        else:
+            vals = polyfam.eval_orthonormal_sequence(fam, cfg.nmax, xs)
+        for j, x in enumerate(xs):
+            row = {"x": num(x)}
+            for n in range(cfg.nmax + 1):
+                row[f"p{n}"] = num(vals[n][j])
+            rows.append(row)
+    else:  # gram
+        report = polyfam.gram_matrix(fam, cfg.nmax)
+        for i in range(report.dimension):
+            row = {"i": i}
+            for j in range(report.dimension):
+                row[f"g{j}"] = num(report.matrix[i, j])
+            rows.append(row)
+    return rows
+
+
+ROW_ARGVS = [
+    ["eval", "--family=discrete1", "--n=3", "--x=0.25"],
+    ["eval", "--family=discrete2", "--n=5", "--x=-0.5", "--q=0.9"],
+    ["table", "--kind=spectrum", "--family=rogers", "--nmax=12"],
+    ["table", "--kind=spectrum", "--family=discrete2", "--nmax=12", "--q=0.3"],
+    ["table", "--kind=polys", "--family=rogers", "--nmax=5", "--q=0.1"],
+    ["table", "--kind=polys", "--family=discrete1", "--nmax=4"],
+    ["table", "--kind=polys", "--family=discrete2", "--nmax=6", "--q=0.9"],
+    ["table", "--kind=gram", "--family=rogers", "--nmax=6"],
+    ["table", "--kind=gram", "--family=discrete2", "--nmax=5", "--c=0.7"],
+    ["table", "--kind=coherent", "--family=rogers", "--z=0.9,-0.4", "--q=0.9"],
+    ["table", "--kind=coherent", "--family=discrete2", "--z=-2.0,1.0", "--dim=9"],
+    ["verify", "--suite=jackson", "--nmax=8", "--tol=1e-9"],
+    ["oscillator", "--kind=momentum", "--family=rogers", "--dim=5"],
+    ["oscillator", "--kind=hamiltonian", "--family=discrete2", "--q=0.3"],
+    ["coherent", "--family=rogers", "--z=0.5,0.5"],
+    ["coherent", "--family=discrete2", "--z=3.0,-1.0", "--q=0.7"],
+    ["gft", "--nmax=6", "--q=0.4"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+@pytest.mark.parametrize("argv", ROW_ARGVS, ids=" ".join)
+def test_rows_equal_the_cell_by_cell_reference(argv, fmt, capsys):
+    assert cli.main(argv + ["--format=json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]  # JSON keeps each value and the key order
+    assert cli.main(argv + [f"--format={fmt}"]) == 0
+    got = capsys.readouterr().out
+    cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv + [f"--format={fmt}"])))
+    cli.emit(meta, _reference_rows(cfg), cfg)
+    assert got == capsys.readouterr().out

@@ -89,6 +89,15 @@ def test_domain_and_family_errors():
         bg_expansion(rogers(0.5), rogers_radius(0.5) * 1.01)
     with pytest.raises(UnsupportedFamily):
         bg_expansion(discrete1(0.5), 0.3)
+    for fam in (rogers(0.5), discrete2(0.5)):
+        for z in (math.nan, math.inf, complex(0.2, math.nan), complex(0.0, -math.inf)):
+            with pytest.raises(DomainError, match="finite z"):
+                bg_expansion(fam, z)
+
+
+def test_discrete2_abs_z_squared_overflow_names_the_quantity():
+    with pytest.raises(OverflowError, match=r"^coherent state \|z\|\^2 overflows double range at \|z\| = 1e\+200$"):
+        bg_expansion(discrete2(0.5), complex(1e200, 0.0))
 
 
 def test_eigen_residual_examples():

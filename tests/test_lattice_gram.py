@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qhermite import polyfam
-from qhermite.errors import ConvergenceError
+from qhermite.errors import ConvergenceError, QuadratureError
 from qhermite.polyfam import discrete2, gram_matrix
 from qhermite.qcore import DEFAULT_POLICY, TruncationPolicy
 
@@ -161,3 +161,9 @@ def test_gram_matrix_normalizes_the_block_sum():
     fam = discrete2(0.9)
     want = reference_gram(fam, 10)
     assert gram_matrix(fam, 10).matrix.tobytes() == (want / want[0, 0]).tobytes()
+
+
+def test_nan_gram_fails_the_orthogonality_gate(monkeypatch):
+    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax, pol: np.full((nmax + 1, nmax + 1), math.nan))
+    with pytest.raises(QuadratureError, match="off-diagonal Gram mass nan"):
+        gram_matrix(discrete2(0.5), 3)

@@ -44,8 +44,9 @@ def _poch(q: float, n: int) -> float:
 
 
 def test_family_descriptor_validation():
-    with pytest.raises(DomainError):
-        discrete2(0.5, lattice_scale=-1.0)
+    for c in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            discrete2(0.5, lattice_scale=c)
     assert rogers(0.5).q == QParam(0.5)
 
 
