@@ -2,10 +2,10 @@
 
 Subcommands: eval, table, verify, oscillator, coherent, gft.  Each takes
 --format, --out and only the options it reads (_COMMANDS); any other
-option exits 2.  Output goes to stdout or --out as pretty text, CSV
-(header row, LF, UTF-8), or JSON ({"meta": {...}, "rows": [...]}).
-Floats are emitted in shortest round-trip form so CSV and JSON carry
-bit-identical values.  Exit status: 0 success, 1 failed verification,
+option exits 2.  Output goes to stdout or --out as pretty text, CSV (header
+row, LF, UTF-8), or JSON (json.dumps({"meta": {...}, "rows": [...]},
+indent=2)).  Floats are emitted in shortest round-trip form so CSV and JSON
+carry bit-identical values.  Exit status: 0 success, 1 failed verification,
 2 a configuration or numerical error.
 """
 
@@ -18,6 +18,8 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,27 +125,40 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _texts(col, json_out: bool, pad: str) -> list[str]:
+    """Each cell's _fmt_cell text, or its JSON text nested `pad` deep; one repr pass for one number type."""
+    kinds = set(map(type, col))
+    if kinds == {float} or kinds == {int}:
+        texts = list(map(repr, col))
+        if not json_out or {"nan", "inf", "-inf"}.isdisjoint(texts):  # JSON spells these NaN, Infinity, -Infinity
+            return texts
+    return [json.dumps(v, indent=2).replace("\n", "\n" + pad) for v in col] if json_out else list(map(_fmt_cell, col))
+
+
 def emit(meta: dict, rows: list[dict], cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
-    elif cfg.fmt == "csv":
-        buf = io.StringIO()
-        if rows:
-            header = list(rows[0].keys())
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt_cell(row[k]) for k in header])
-        text = buf.getvalue()
+    """Write meta and rows, each with the first row's keys in its order, formatting a column at a time."""
+    json_out = cfg.fmt == "json"
+    header = list(rows[0]) if rows else []
+    cols = [_texts(list(map(itemgetter(h), rows)), json_out, " " * 6) for h in header]
+    if json_out:
+        items = [f"    {encode_basestring_ascii(k)}: {_texts((v,), True, ' ' * 4)[0]}" for k, v in meta.items()]
+        fields = [list(map(f"      {encode_basestring_ascii(h)}: ".__add__, col)) for h, col in zip(header, cols)]
+        records = list(zip(*fields)) or [()] * len(rows)
+        objects = ["    {\n" + ",\n".join(r) + "\n    }" if r else "    {}" for r in records]
+        meta_text = "{\n" + ",\n".join(items) + "\n  }" if items else "{}"
+        rows_text = "[\n" + ",\n".join(objects) + "\n  ]" if objects else "[]"
+        text = f'{{\n  "meta": {meta_text},\n  "rows": {rows_text}\n}}\n'
     else:
-        lines = [f"# {k} = {_fmt_cell(v)}" for k, v in meta.items()]
-        if rows:
-            header = list(rows[0].keys())
-            widths = [max(len(h), max(len(_fmt_cell(r[h])) for r in rows)) for h in header]
-            lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-            for row in rows:
-                lines.append("  ".join(_fmt_cell(row[h]).ljust(w) for h, w in zip(header, widths)))
-        text = "\n".join(lines) + "\n"
+        table = [[h, *col] for h, col in zip(header, cols)]  # the header row, then the rows
+        if cfg.fmt == "pretty":
+            table = [[c.ljust(w) for c in col] for col in table for w in [max(map(len, col))]]
+        records = list(zip(*table)) or [()] * (len(rows) + 1 if rows else 0)
+        if cfg.fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(records)
+            text = buf.getvalue()
+        else:
+            text = "\n".join([*(f"# {k} = {_fmt_cell(v)}" for k, v in meta.items()), *map("  ".join, records)]) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -152,9 +167,11 @@ def emit(meta: dict, rows: list[dict], cfg: RunConfig) -> None:
 
 
 def _rows(columns: dict) -> list[dict]:
-    """Zip equal-length named columns, in the dict's order, into table rows."""
+    """Zip equal-length named columns, in the dict's order, into rows; a finite float array in one .tolist()."""
     names = list(columns)
-    return [dict(zip(names, map(_num, cells))) for cells in zip(*columns.values())]
+    cols = [c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind == "f" and np.isfinite(c).all()
+            else map(_num, c) for c in columns.values()]
+    return [dict(zip(names, cells)) for cells in zip(*cols)]
 
 
 def _coherent_rows(state: coherent.CoherentStateExpansion) -> list[dict]:

@@ -91,15 +91,18 @@ def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None,
             coeffs.append(next_coeff(n, coeffs[-1]))
         return np.array(coeffs)
     n = 0
-    while True:
-        nxt = next_coeff(n, coeffs[-1])
-        if n >= 3 and abs(nxt) ** 2 < _TAIL_SQ * total:
-            break
-        coeffs.append(nxt)
-        total += abs(nxt) ** 2
-        n += 1
-        if n >= pol.max_terms:
-            raise ConvergenceError("coherent expansion did not reach its tail bound within max_terms")
+    try:
+        while True:
+            nxt = next_coeff(n, coeffs[-1])
+            if n >= 3 and abs(nxt) ** 2 < _TAIL_SQ * total:
+                break
+            coeffs.append(nxt)
+            total += abs(nxt) ** 2
+            n += 1
+            if n >= pol.max_terms:
+                raise ConvergenceError("coherent expansion did not reach its tail bound within max_terms")
+    except OverflowError:
+        raise OverflowError(f"coherent state |c_n|^2 overflows double range at n = {n + 1}, |z| = {abs(z)!r}") from None
     return np.array(coeffs)
 
 

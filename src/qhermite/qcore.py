@@ -95,7 +95,9 @@ def _sum_series(terms: Iterable, pol: TruncationPolicy, what: str, running: np.n
         small_run = np.zeros(running.shape, dtype=int)
         for k, term in enumerate(terms):
             if k >= pol.max_terms and running.any():
-                raise ConvergenceError(f"{what}: no convergence within {pol.max_terms} terms")
+                i = running.argmax()  # the first entry still running
+                raise ConvergenceError(f"{what}: no convergence within {pol.max_terms} terms (entry {i}: last term "
+                                       f"{term.flat[i].item()!r}, partial sum {total.flat[i].item()!r})")
             total = np.where(running, total + term, total)
             small_run = np.where(abs(term) < pol.term_tol, small_run + 1, 0)
             running &= small_run < _CONSECUTIVE_SMALL
@@ -105,7 +107,8 @@ def _sum_series(terms: Iterable, pol: TruncationPolicy, what: str, running: np.n
     small_run = 0
     for k, term in enumerate(terms):
         if k >= pol.max_terms:
-            raise ConvergenceError(f"{what}: no convergence within {pol.max_terms} terms")
+            raise ConvergenceError(f"{what}: no convergence within {pol.max_terms} terms "
+                                   f"(last term {term!r}, partial sum {total!r})")
         total = total + term
         if abs(term) < pol.term_tol:
             small_run += 1
@@ -290,6 +293,8 @@ def e_q_gaussian(x: Scalar, q: QParam | float, pol: TruncationPolicy = DEFAULT_P
             n += 1
             # ratio of consecutive coefficients: ((1-q)/q) q^{2n-1} / (1 - q^n)
             term = term * x * (1.0 - qq) / qq * qq ** (2 * n - 1) / (1.0 - qq**n)
+            if not math.isfinite(abs(term)):  # so is every later term, and the sum
+                raise OverflowError(f"e_q_gaussian series: term {n} overflows double range at x = {x!r}")
 
     return _sum_series(terms(), pol, "e_q_gaussian series")
 

@@ -1,13 +1,17 @@
 """CLI surface: commands, formats, exit statuses, reproducibility."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhermite import cli, coherent, oscillator, polyfam, transform, verify
 
@@ -485,3 +489,106 @@ def test_rows_equal_the_cell_by_cell_reference(argv, fmt, capsys):
     cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv + [f"--format={fmt}"])))
     cli.emit(meta, _reference_rows(cfg), cfg)
     assert got == capsys.readouterr().out
+
+
+# --- the column-at-a-time emitter against the cell-at-a-time layout ---------
+
+def _emitted(meta, rows, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(meta, rows, cli.RunConfig(command="table", fmt=fmt))
+    return out.getvalue()
+
+
+def _reference_emit(meta, rows, fmt):
+    """json.dumps for JSON; one csv.writer row, or one padded line, per table row."""
+    if fmt == "json":
+        return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    header = list(rows[0]) if rows else []
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if rows:
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([cli._fmt_cell(row[k]) for k in header])
+        return buf.getvalue()
+    lines = [f"# {k} = {cli._fmt_cell(v)}" for k, v in meta.items()]
+    if rows:
+        widths = [max(len(h), max(len(cli._fmt_cell(r[h])) for r in rows)) for h in header]
+        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        for row in rows:
+            lines.append("  ".join(cli._fmt_cell(row[h]).ljust(w) for h, w in zip(header, widths)))
+    return "\n".join(lines) + "\n"
+
+
+_AWKWARD = ['a, "b"', "}, {", '"', "\\", "two\nlines", "ĉu ŝi? π ≈ 3", "", "nan"]
+
+EMIT_CASES = {
+    "no rows": ({"command": "table", "q": 0.5}, []),
+    "no meta, no rows": ({}, []),
+    "one row": ({"q": 0.25}, [{"n": 0, "x": -0.5, "value": 1.0}]),
+    "rows without keys": ({"q": 0.25}, [{}, {}]),
+    "extreme floats": ({"tiny": 5e-324}, [{"x": v, "y": -v} for v in (-0.0, 5e-324, 1.7976931348623157e308, 1.0)]),
+    "big ints and bools": ({"overall": True, "seed": 2**63},
+                           [{"n": 2**53 + k, "passed": k % 2 == 0, "flag": k > 1} for k in range(4)]),
+    "non-finite strings in a float column": (
+        {"q": cli._num(float("nan"))},
+        [{"x": cli._num(v)} for v in (0.5, float("nan"), float("inf"), float("-inf"), -2.0)]),
+    "non-finite floats": ({"q": float("inf")}, [{"x": v} for v in (1.0, float("nan"), float("-inf"))]),
+    "awkward strings": ({s or "empty": s for s in _AWKWARD},
+                        [{"suite": s, "check": s[::-1], "x": float(k)} for k, s in enumerate(_AWKWARD)]),
+    "awkward keys": ({"k": 1}, [{s: k for s in _AWKWARD} for k in range(3)]),
+    "numpy scalars": ({"q": np.float64(0.5)}, [{"x": np.float64(v), "y": v} for v in (0.1, -3.0, 2.5e-17)]),
+    "mixed column": ({}, [{"c": v} for v in (1, 1.5, "s", None, True, np.float64(2.0))]),
+    "nested values": ({"shape": [2, [3, {}]], "info": {"a": [], "b": {"c": 1}}},
+                      [{"v": [1.5, "x"], "w": {"k": [None]}}, {"v": [], "w": {}}]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("case", EMIT_CASES)
+def test_emit_matches_the_cell_by_cell_layout(case, fmt):
+    meta, rows = EMIT_CASES[case]
+    assert _emitted(meta, rows, fmt) == _reference_emit(meta, rows, fmt)
+
+
+_SCALARS = [
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.none(),
+]
+
+
+@st.composite
+def _flat_tables(draw):
+    """meta and rows of scalars; each column draws from one kind of scalar or from all."""
+    keys = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
+    kinds = [draw(st.sampled_from(_SCALARS + [st.one_of(_SCALARS)])) for _ in keys]
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = [{k: draw(kind) for k, kind in zip(keys, kinds)} for _ in range(n)]
+    meta = draw(st.dictionaries(st.text(max_size=4), st.one_of(_SCALARS), max_size=4))
+    return meta, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flat_tables(), st.sampled_from(["json", "csv", "pretty"]))
+def test_emit_matches_the_cell_by_cell_layout_on_random_tables(table, fmt):
+    meta, rows = table
+    assert _emitted(meta, rows, fmt) == _reference_emit(meta, rows, fmt)
+
+
+# --- lattice coherent states past double range ------------------------------
+
+@pytest.mark.parametrize("args,message", [
+    (["--z=1e10,0"], "coherent state |c_n|^2 overflows double range at n = 25, |z| = 10000000000.0"),
+    (["--z=1e10,0", "--dim=3"], "e_q_gaussian series: term 23 overflows double range at x = 1e+20"),
+])
+def test_lattice_coherent_overflow_is_named(args, message, capsys):
+    assert cli.main(["coherent", "--family=discrete2"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qhermite: numerical error: {message}\n"

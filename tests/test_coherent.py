@@ -286,3 +286,16 @@ def test_float_q_numbers_and_table_bn_match_the_public_routes_bit_for_bit():
         grown = bg_expansion(fam, z)
         assert grown.coefficients.tobytes() == (_expansion_with_q_number(fam, z, grown.dim)
                                                 / math.sqrt(grown.norm_sq_closed)).tobytes()
+
+
+def test_discrete2_coefficient_overflow_names_the_index_and_abs_z():
+    message = r"^coherent state \|c_n\|\^2 overflows double range at n = 25, \|z\| = 10000000000\.0$"
+    with pytest.raises(OverflowError, match=message):
+        bg_expansion(discrete2(0.5), complex(1e10, 0.0))
+
+
+def test_discrete2_norm_overflow_stops_at_the_first_infinite_term():
+    # a fixed dim skips the coefficient loop; the normalization series then
+    # leaves double range at term 23 instead of running to max_terms
+    with pytest.raises(OverflowError, match=r"^e_q_gaussian series: term 23 overflows double range at x = 1e\+20$"):
+        bg_expansion(discrete2(0.5), complex(1e10, 0.0), dim=3)

@@ -392,6 +392,12 @@ def test_array_series_convergence_error_when_any_element_fails():
         phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]), pol)
 
 
+def test_array_series_convergence_error_names_the_entry_still_running():
+    pol = TruncationPolicy(max_terms=5)
+    with pytest.raises(ConvergenceError, match=r"within 5 terms \(entry 1: last term [-+.e\d]+, partial sum [-+.e\d]+\)$"):
+        phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]), pol)
+
+
 def test_array_series_pole_only_for_elements_still_running():
     # a = q^-1 ends the series at k = 1, before the denominator q^-2 vanishes at k = 2
     q = 0.5

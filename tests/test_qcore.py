@@ -253,3 +253,25 @@ def test_q_pochhammer_infinite_on_arrays():
         assert got.shape == zs.shape
         for g, z in zip(got, zs):
             assert g == pytest.approx(q_pochhammer(complex(z), q, math.inf), rel=1e-14, abs=1e-15)
+
+
+def test_max_terms_error_reports_the_last_term_and_the_partial_sum():
+    x, q, pol = 50.0, 0.9, TruncationPolicy(max_terms=5)
+    terms = [1.0]
+    for n in range(1, 6):  # e_q_gaussian's term recurrence
+        terms.append(terms[-1] * x * (1.0 - q) / q * q ** (2 * n - 1) / (1.0 - q**n))
+    partial = 0.0
+    for t in terms[:5]:
+        partial = partial + t
+    message = (f"e_q_gaussian series: no convergence within 5 terms "
+               f"(last term {terms[5]!r}, partial sum {partial!r})")
+    with pytest.raises(ConvergenceError) as info:
+        e_q_gaussian(x, q, pol)
+    assert str(info.value) == message
+
+
+def test_e_q_gaussian_overflow_names_the_term():
+    with pytest.raises(OverflowError, match=r"^e_q_gaussian series: term 23 overflows double range at x = 1e\+20$"):
+        e_q_gaussian(1e20, 0.5)
+    with pytest.raises(OverflowError, match=r"term \d+ overflows double range at x = \(1e\+20\+1e\+20j\)$"):
+        e_q_gaussian(complex(1e20, 1e20), 0.5)
