@@ -70,9 +70,7 @@ from .polyfam import (
     weight_density,
 )
 from .qcore import (
-    DEFAULT_POLICY,
     QParam,
-    TruncationPolicy,
     as_qparam,
     e_q,
     e_q_gaussian,

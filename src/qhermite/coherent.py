@@ -25,9 +25,8 @@ from .errors import (
 )
 from .polyfam import Family, FamilyDescriptor
 from .qcore import (
-    DEFAULT_POLICY,
+    _MAX_TERMS,
     QParam,
-    TruncationPolicy,
     as_qparam,
     e_q_gaussian,
     e_q_reciprocal,
@@ -74,8 +73,7 @@ def rogers_radius(q: QParam | float) -> float:
     return 1.0 / math.sqrt(1.0 - as_qparam(q).q)
 
 
-def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None,
-                         pol: TruncationPolicy) -> np.ndarray:
+def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None) -> np.ndarray:
     q = family.q.q
     coeffs = [1.0 + 0.0j]
     total = 1.0
@@ -99,7 +97,7 @@ def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None,
             coeffs.append(nxt)
             total += abs(nxt) ** 2
             n += 1
-            if n >= pol.max_terms:
+            if n >= _MAX_TERMS:
                 raise ConvergenceError("coherent expansion did not reach its tail bound within max_terms")
     except OverflowError:
         raise OverflowError(f"coherent state |c_n|^2 overflows double range at n = {n + 1}, |z| = {abs(z)!r}") from None
@@ -110,7 +108,6 @@ def bg_expansion(
     family: FamilyDescriptor,
     z: complex,
     dim: int | None = None,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> CoherentStateExpansion:
     """Expansion of the lowering-operator eigenstate |z>.
 
@@ -130,11 +127,11 @@ def bg_expansion(
         abs_sq = abs(z) ** 2
     except OverflowError:
         raise OverflowError(f"coherent state |z|^2 overflows double range at |z| = {abs(z)!r}") from None
-    raw = _unnormalized_coeffs(family, z, dim, pol)
+    raw = _unnormalized_coeffs(family, z, dim)
     if family.kind is Family.ROGERS:
-        norm_sq = float(e_q_tilde((1.0 - q) * abs_sq, family.q, pol).real)
+        norm_sq = float(e_q_tilde((1.0 - q) * abs_sq, family.q).real)
     else:
-        norm_sq = float(e_q_gaussian(abs_sq, family.q, pol).real)
+        norm_sq = float(e_q_gaussian(abs_sq, family.q).real)
     partial = float(np.sum(np.abs(raw) ** 2))
     return CoherentStateExpansion(
         family=family,
@@ -168,7 +165,6 @@ def overlap(
     family: FamilyDescriptor,
     z1: complex,
     z2: complex,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Un-normalized overlap <z1|z2> of two continuous-family states.
 
@@ -181,14 +177,13 @@ def overlap(
     r = rogers_radius(q)
     if abs(z1) >= r or abs(z2) >= r:
         raise DomainError(f"overlap needs |z1|, |z2| < {r}")
-    return complex(e_q_tilde((1.0 - q) * complex(z1).conjugate() * complex(z2), family.q, pol))
+    return complex(e_q_tilde((1.0 - q) * complex(z1).conjugate() * complex(z2), family.q))
 
 
 def closed_form_rogers_cs(
     z: complex,
     theta: float,
     q: QParam | float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Normalized continuous-family state at x = cos(theta), via the
     generating-function product of two q-exponentials."""
@@ -198,8 +193,8 @@ def closed_form_rogers_cs(
     if abs(w) >= 1.0:
         raise DomainError("closed form needs sqrt(1-q)|z| < 1")
     u = complex(math.cos(theta), math.sin(theta))
-    num = e_q_tilde(u * w, qp, pol) * e_q_tilde(w / u, qp, pol)
-    norm = math.sqrt(float(e_q_tilde((1.0 - q_) * abs(z) ** 2, qp, pol).real))
+    num = e_q_tilde(u * w, qp) * e_q_tilde(w / u, qp)
+    norm = math.sqrt(float(e_q_tilde((1.0 - q_) * abs(z) ** 2, qp).real))
     return num / norm
 
 
@@ -207,7 +202,6 @@ def closed_form_discrete2_cs(
     z: complex,
     x: float,
     q: QParam | float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Lattice-family state value from its product-times-series closed form.
 
@@ -221,8 +215,8 @@ def closed_form_discrete2_cs(
     q_ = qp.q
     w = math.sqrt(q_ * (1.0 - q_)) * complex(z)
     pref = q_pochhammer(1j * w, qp, math.inf)
-    series = polyfam.phi_1_1(1j * x, 1j * w, qp, -1j * w, pol)
-    return pref * series / e_q_gaussian(complex(z) ** 2, qp, pol)
+    series = polyfam.phi_1_1(1j * x, 1j * w, qp, -1j * w)
+    return pref * series / e_q_gaussian(complex(z) ** 2, qp)
 
 
 def radius_estimate(coeff_norms: Sequence[float]) -> RadiusReport:
@@ -260,9 +254,7 @@ def radius_estimate(coeff_norms: Sequence[float]) -> RadiusReport:
     return RadiusReport(float(estimates[-1]), len(u), "ratio-aitken")
 
 
-def resolution_moment_check(
-    n: int, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLICY
-) -> tuple[float, float]:
+def resolution_moment_check(n: int, q: QParam | float) -> tuple[float, float]:
     """n-th moment of the resolution-of-unity measure vs its target [n]_q!.
 
     The measure is a delta comb on the Jackson lattice, so the moment is the
@@ -273,47 +265,40 @@ def resolution_moment_check(
     if n < 0:
         raise DomainError("moment order must be non-negative")
     a = 1.0 / (1.0 - qp.q)
-    computed = jackson_integral(lambda x: e_q_reciprocal(qp.q * x, qp, pol) * x**n, a, qp, pol)
+    computed = jackson_integral(lambda x: e_q_reciprocal(qp.q * x, qp) * x**n, a, qp)
     return computed, q_factorial(n, qp)
 
 
-def resolution_moment_profile(
-    nmax: int, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLICY
-) -> list[tuple[float, float]]:
-    """Moments 0..nmax sharing one evaluation of the lattice weights."""
+def _resolution_moments(nmax: int, qp: QParam) -> list[float]:
+    """The moments I_0..I_nmax of resolution_moment_check from one Jackson
+    pass, each equal bit for bit to its own integral (np.float_power is
+    the pow of Python's x**n)."""
+    orders, a = np.arange(nmax + 1.0), 1.0 / (1.0 - qp.q)
+    return jackson_integral(lambda x: e_q_reciprocal(qp.q * x, qp) * np.float_power(x, orders), a, qp).tolist()
+
+
+def resolution_moment_profile(nmax: int, q: QParam | float) -> list[tuple[float, float]]:
+    """Moments 0..nmax next to their targets [n]_q!, from one Jackson pass."""
     qp = as_qparam(q)
-    q_ = qp.q
-    a = 1.0 / (1.0 - q_)
-    k_max = int(math.log(pol.term_tol * 1e-2) / math.log(q_)) + 5
-    weights = [q_**k * e_q_reciprocal(q_ ** (k + 1) * a, qp, pol) for k in range(k_max)]
-    out = []
-    for n in range(nmax + 1):
-        total = sum(wk * (q_**k * a) ** n for k, wk in enumerate(weights))
-        out.append((a * (1.0 - q_) * total, q_factorial(n, qp)))
-    return out
+    return [(moment, q_factorial(n, qp)) for n, moment in enumerate(_resolution_moments(nmax, qp))]
 
 
 def moment_recurrence_check(
     nmax: int,
     q: QParam | float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
     perturb_base: float | None = None,
 ) -> float:
     """Max relative defect of the moment recursion I_n = [n]_q I_{n-1}.
 
-    Each I_n comes from its own Jackson integral, so this check is
-    independent of the closed form [n]_q!.  perturb_base swaps the factor
-    [n]_q for [n]_{q'} as a negative control.
+    Each I_n is its own Jackson integral, so this check is independent of
+    the closed form [n]_q!.  perturb_base swaps the factor [n]_q for
+    [n]_{q'} as a negative control.
     """
     qp = as_qparam(q)
     if nmax < 1:
         raise DomainError("recurrence check needs nmax >= 1")
-    a = 1.0 / (1.0 - qp.q)
     factor_base = qp if perturb_base is None else as_qparam(perturb_base)
-    moments = [
-        jackson_integral(lambda x, k=n: e_q_reciprocal(qp.q * x, qp, pol) * x**k, a, qp, pol)
-        for n in range(nmax + 1)
-    ]
+    moments = _resolution_moments(nmax, qp)
     worst = 0.0
     for n in range(1, nmax + 1):
         defect = abs(moments[n] - q_number(n, factor_base) * moments[n - 1]) / abs(moments[n])

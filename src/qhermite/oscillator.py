@@ -104,6 +104,12 @@ class FockOperator:
         self.entries.setflags(write=False)
 
 
+def _ladder_diagonal(b: list[float], gamma: float) -> list[float]:
+    """gamma^2 (b_{n-1}^2 + b_n^2) for each b_n of b, with b_{-1} = 0: the
+    diagonal of the ladder Hamiltonian a+a- + a-a+."""
+    return [gamma**2 * (bm1 * bm1 + bn * bn) for bm1, bn in zip([0.0] + b[:-1], b)]
+
+
 def build_operator(
     kind: OperatorKind, source: BnSequence, q: QParam | float, dim: int
 ) -> FockOperator:
@@ -119,26 +125,21 @@ def build_operator(
     b = [source.coeff(n, qp) for n in range(dim)]
     gamma = ladder_prefactor(source, qp)
     m = np.zeros((dim, dim), dtype=complex)
+    flat = m.reshape(-1)
+    below, above = flat[dim :: dim + 1], flat[1 :: dim + 1]  # views of the entries (n+1, n) and (n, n+1)
     if kind is OperatorKind.POSITION:
-        for n in range(dim - 1):
-            m[n + 1, n] = b[n]
-            m[n, n + 1] = b[n]
+        below[:] = above[:] = b[:-1]
     elif kind is OperatorKind.MOMENTUM:
-        for n in range(dim - 1):
-            m[n + 1, n] = 1j * b[n]
-            m[n, n + 1] = -1j * b[n]
+        below[:] = [1j * v for v in b[:-1]]
+        above[:] = [-1j * v for v in b[:-1]]
     elif kind is OperatorKind.RAISING:
-        for n in range(dim - 1):
-            m[n + 1, n] = gamma * b[n]
+        below[:] = [gamma * v for v in b[:-1]]
     elif kind is OperatorKind.LOWERING:
-        for n in range(dim - 1):
-            m[n, n + 1] = gamma * b[n]
+        above[:] = [gamma * v for v in b[:-1]]
     elif kind is OperatorKind.NUMBER:
         np.fill_diagonal(m, np.arange(dim))
     elif kind is OperatorKind.HAMILTONIAN:
-        for n in range(dim):
-            bm1 = source.coeff(n - 1, qp)
-            m[n, n] = gamma**2 * (bm1 * bm1 + b[n] * b[n])
+        np.fill_diagonal(m, _ladder_diagonal(b, gamma))
     else:
         raise DomainError(f"unknown operator kind {kind!r}")
     return FockOperator(kind=kind, dim=dim, entries=m)
@@ -181,13 +182,7 @@ def spectrum(source: BnSequence, q: QParam | float, nmax: int) -> list[float]:
     if source.family is not None:
         lam = polyfam.FAMILY_TABLE[source.family].lam
         return [lam(n, qp.q) for n in range(nmax + 1)]
-    gamma = ladder_prefactor(source, qp)
-    out = []
-    for n in range(nmax + 1):
-        bm1 = source.coeff(n - 1, qp)
-        bn = source.coeff(n, qp)
-        out.append(gamma**2 * (bm1 * bm1 + bn * bn))
-    return out
+    return _ladder_diagonal([source.coeff(n, qp) for n in range(nmax + 1)], ladder_prefactor(source, qp))
 
 
 def hamiltonian_form_ratio(source: BnSequence, q: QParam | float, dim: int) -> tuple[float, float]:
@@ -261,10 +256,7 @@ def qdiff_residual_rogers(
     up, down = s * u, u / s
     # phi at both half-shifts of up and of down, and at u, in one recurrence pass
     grids = np.stack([s * up, up / s, s * down, down / s, u])
-    a, d = polyfam._orthonormal_coeffs(polyfam.rogers(qp), max(degrees))
-    phis = np.empty((len(d) + 1,) + grids.shape, dtype=complex)
-    for m, p in enumerate(polyfam._three_term((grids + 1.0 / grids) / 2.0, a, d)):
-        phis[m] = p
+    phis = polyfam.eval_orthonormal_sequence(polyfam.rogers(qp), max(degrees), (grids + 1.0 / grids) / 2.0)
     phi_up_up, phi_up_down, phi_down_up, phi_down_down, phi_here = np.moveaxis(phis[degrees], 1, 0)
 
     w_up, w_down, w_here = (_rogers_weight_u(v, q_) for v in (up, down, u))

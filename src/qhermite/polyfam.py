@@ -25,8 +25,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, QuadratureError, UnsupportedFamily
-from .qcore import (DEFAULT_POLICY, QParam, Scalar, TruncationPolicy, _q_powers, _sum_series, _terms_above_cutoff,
-                    as_qparam, q_number, q_pochhammer)
+from .qcore import (_MAX_TERMS, _TERM_TOL, QParam, Scalar, _q_powers, _sum_series, _terms_above_cutoff, as_qparam,
+                    q_number, q_pochhammer)
 
 
 class Family(enum.Enum):
@@ -227,14 +227,15 @@ def eval_orthonormal(family: FamilyDescriptor, n: int, x: Scalar) -> Scalar:
 def eval_orthonormal_sequence(family: FamilyDescriptor, nmax: int, x) -> np.ndarray:
     """All orthonormal polynomials of degree 0..nmax at x (scalar or array).
 
-    Returns an array of shape (nmax+1,) + shape(x).
+    Returns an array of shape (nmax+1,) + shape(x), complex for complex x
+    (the analytic continuation, as in eval_orthonormal) and float otherwise.
     """
     if nmax < 0:
         raise DomainError("nmax must be non-negative")
     a, d = _orthonormal_coeffs(family, nmax)
-    xs = np.asarray(x, dtype=float)
+    xs = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     _require_finite(xs)
-    out = np.empty((nmax + 1,) + xs.shape)
+    out = np.empty((nmax + 1,) + xs.shape, dtype=xs.dtype)
     for m, p in enumerate(_three_term(xs, a, d)):
         out[m] = p
     return out
@@ -270,7 +271,6 @@ def _pochhammer_ratio_series(
     denominators: tuple[Scalar, ...],
     q: QParam,
     z: Scalar,
-    pol: TruncationPolicy,
     extra_sign_gauss: bool = False,
 ) -> Scalar:
     """sum_k prod(a;q)_k / prod(b;q)_k * z^k / (q;q)_k, with optional
@@ -305,7 +305,7 @@ def _pochhammer_ratio_series(
             term = term * ratio
 
     if np.ndarray not in map(type, params):
-        return _sum_series(terms(), pol, "Pochhammer-ratio series")
+        return _sum_series(terms(), "Pochhammer-ratio series")
     running = np.ones(np.broadcast(*params).shape, dtype=bool)
 
     def array_terms() -> Iterator[np.ndarray]:
@@ -329,7 +329,7 @@ def _pochhammer_ratio_series(
                 ratio = ratio / np.where(vanished, 1.0, fb)
             term = np.where(running, term * ratio, 0.0)
 
-    return _sum_series(array_terms(), pol, "Pochhammer-ratio series", running)
+    return _sum_series(array_terms(), "Pochhammer-ratio series", running)
 
 
 def phi_2_1(
@@ -338,13 +338,12 @@ def phi_2_1(
     c: Scalar,
     q: QParam | float,
     z: Scalar,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> Scalar:
     """sum_k (a;q)_k (b;q)_k / (c;q)_k * z^k / (q;q)_k.
 
     With a = q^{-m} the sum terminates after exactly m+1 terms.
     """
-    return _pochhammer_ratio_series((a, b), (c,), as_qparam(q), z, pol)
+    return _pochhammer_ratio_series((a, b), (c,), as_qparam(q), z)
 
 
 def phi_ratio_series(
@@ -352,10 +351,9 @@ def phi_ratio_series(
     b: Scalar,
     q: QParam | float,
     z: Scalar,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> Scalar:
     """sum_k (a;q)_k / (b;q)_k * z^k / (q;q)_k (no extra sign/Gauss factor)."""
-    return _pochhammer_ratio_series((a,), (b,), as_qparam(q), z, pol)
+    return _pochhammer_ratio_series((a,), (b,), as_qparam(q), z)
 
 
 def phi_1_1(
@@ -363,11 +361,10 @@ def phi_1_1(
     b: Scalar,
     q: QParam | float,
     z: Scalar,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> Scalar:
     """Standard basic hypergeometric 1-phi-1: the Pochhammer-ratio series
     carrying the (-1)^k q^binom(k,2) normalization factor."""
-    return _pochhammer_ratio_series((a,), (b,), as_qparam(q), z, pol, extra_sign_gauss=True)
+    return _pochhammer_ratio_series((a,), (b,), as_qparam(q), z, extra_sign_gauss=True)
 
 
 def discrete1_eval(n: int, x, q: QParam | float):
@@ -598,11 +595,11 @@ def _weighted_outer(factor: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _discrete2_gram(family: FamilyDescriptor, nmax: int, pol: TruncationPolicy) -> np.ndarray:
+def _discrete2_gram(family: FamilyDescriptor, nmax: int) -> np.ndarray:
     """Unnormalized Gram sum over the lattice {+-c q^k}.
 
     Each side (k = 0, 1, ... then k = -1, -2, ...) is evaluated in blocks of
-    points and stops three points after its terms fall below term_tol.  The
+    points and stops three points after its terms fall below _TERM_TOL.  The
     points of a block past the stop are discarded; the used points add to
     the matrix in lattice order, +x before -x, so the sum equals the
     point-by-point loop bit for bit.  The sum starts from +0.0, and
@@ -615,8 +612,8 @@ def _discrete2_gram(family: FamilyDescriptor, nmax: int, pol: TruncationPolicy) 
     log_q = math.log(q)
     gram = np.zeros((nmax + 1, nmax + 1))
     chunk = max(1, _GRAM_CHUNK_ENTRIES // (nmax + 1) ** 2)
-    # the positive side decays like q^k: about log(term_tol)/log(q) points, then the three small ones
-    first_positive = min(max(int(math.log(pol.term_tol) / log_q) + 4, 1), _LATTICE_BLOCK_MAX)
+    # the positive side decays like q^k: about log(_TERM_TOL)/log(q) points, then the three small ones
+    first_positive = min(max(int(math.log(_TERM_TOL) / log_q) + 4, 1), _LATTICE_BLOCK_MAX)
     for direction, size in ((1, first_positive), (-1, 8)):
         k = 0 if direction == 1 else -1
         small_run = 0
@@ -640,10 +637,10 @@ def _discrete2_gram(family: FamilyDescriptor, nmax: int, pol: TruncationPolicy) 
                 f_plus, f_minus = math.exp(expo[i]), math.exp(expo[j])  # underflow cleanly to 0 far out
                 factor[i], factor[j] = f_plus, f_minus
                 mag = max(0.0, f_plus * peak[i] ** 2, f_minus * peak[j] ** 2)
-                small_run = small_run + 1 if mag < pol.term_tol else 0
+                small_run = small_run + 1 if mag < _TERM_TOL else 0
                 used += 1
                 steps += 1
-                if steps > pol.max_terms:
+                if steps > _MAX_TERMS:
                     raise ConvergenceError("type-II lattice sum did not decay within max_terms")
             for lo in range(0, used, chunk):
                 hi = min(lo + chunk, used)
@@ -656,9 +653,7 @@ def _discrete2_gram(family: FamilyDescriptor, nmax: int, pol: TruncationPolicy) 
     return c * (1.0 - q) * gram
 
 
-def gram_matrix(
-    family: FamilyDescriptor, nmax: int, pol: TruncationPolicy = DEFAULT_POLICY
-) -> GramReport:
+def gram_matrix(family: FamilyDescriptor, nmax: int) -> GramReport:
     """Gram matrix of the orthonormal basis under the family's measure.
 
     Rogers uses refined theta-quadrature and should return the identity;
@@ -671,7 +666,7 @@ def gram_matrix(
     if family.kind is Family.ROGERS:
         gram = rogers_quadrature(family.q, nmax, lambda xs, vals: vals.T, 1e-10, "Rogers Gram")
     else:
-        gram = _discrete2_gram(family, nmax, pol)
+        gram = _discrete2_gram(family, nmax)
         gram = gram / gram[0, 0]
     dim = nmax + 1
     off = gram - np.diag(np.diag(gram))

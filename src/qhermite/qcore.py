@@ -8,6 +8,7 @@ parameter 0 < q < 1.  Everything here is a pure function; all heavy users
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,34 +37,12 @@ def as_qparam(q: QParam | float) -> QParam:
     return q if isinstance(q, QParam) else QParam(float(q))
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Uniform truncation control for series, products, and lattice sums.
-
-    max_terms: hard cap on summed terms.
-    term_tol:  absolute per-term cutoff; a sum stops once three consecutive
-               terms fall below it (guards sign-alternating cancellation).
-    rel_tol:   relative accuracy target used by agreement checks between
-               redundant evaluation paths.
-    """
-
-    max_terms: int = 10000
-    term_tol: float = 1e-16
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_terms, numbers.Integral) or self.max_terms < 1:
-            raise DomainError(f"max_terms must be an integer >= 1, got {self.max_terms!r}")
-        if not (math.isfinite(self.term_tol) and self.term_tol > 0):
-            raise DomainError("term_tol must be finite and positive")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise DomainError("rel_tol must be finite and positive")
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-#: consecutive sub-threshold terms required before a series is declared done
+#: a series or lattice sum is done once this many consecutive terms ...
 _CONSECUTIVE_SMALL = 3
+#: ... fall below this in modulus, and raises ConvergenceError if it is not
+#: done within _MAX_TERMS terms; kernels read both at call time
+_TERM_TOL = 1e-16
+_MAX_TERMS = 10000
 
 #: an infinite product stops at the first factor 1 - a q^s with |a| q^s below this
 _PRODUCT_CUTOFF = 1e-18
@@ -80,37 +59,37 @@ _POCHHAMMER_MIN_ROWS = 8
 _POCHHAMMER_MAX_SIZE = _POCHHAMMER_BLOCK_ENTRIES // (_POCHHAMMER_MIN_ROWS + 1)
 
 
-def _sum_series(terms: Iterable, pol: TruncationPolicy, what: str, running: np.ndarray | None = None):
-    """Sum a term stream until three consecutive terms drop below term_tol.
+def _sum_series(terms: Iterable, what: str, running: np.ndarray | None = None):
+    """Sum a term stream until three consecutive terms drop below _TERM_TOL.
 
-    Raises ConvergenceError if max_terms is exhausted first.  For ndarray
+    Raises ConvergenceError if _MAX_TERMS is exhausted first.  For ndarray
     terms, pass `running`, a bool array of their shape shared with the term
     generator: the rule then applies to each element on its own, clearing
     its flag once it stops and freezing its total.  The generator may clear
     flags as well (a series that ends exactly); the sum returns once no
-    flag is left and raises if any is still set at max_terms.
+    flag is left and raises if any is still set at _MAX_TERMS.
     """
     total = 0.0
     if running is not None:
         small_run = np.zeros(running.shape, dtype=int)
         for k, term in enumerate(terms):
-            if k >= pol.max_terms and running.any():
+            if k >= _MAX_TERMS and running.any():
                 i = running.argmax()  # the first entry still running
-                raise ConvergenceError(f"{what}: no convergence within {pol.max_terms} terms (entry {i}: last term "
+                raise ConvergenceError(f"{what}: no convergence within {_MAX_TERMS} terms (entry {i}: last term "
                                        f"{term.flat[i].item()!r}, partial sum {total.flat[i].item()!r})")
             total = np.where(running, total + term, total)
-            small_run = np.where(abs(term) < pol.term_tol, small_run + 1, 0)
+            small_run = np.where(abs(term) < _TERM_TOL, small_run + 1, 0)
             running &= small_run < _CONSECUTIVE_SMALL
             if not running.any():
                 break
         return total
     small_run = 0
     for k, term in enumerate(terms):
-        if k >= pol.max_terms:
-            raise ConvergenceError(f"{what}: no convergence within {pol.max_terms} terms "
+        if k >= _MAX_TERMS:
+            raise ConvergenceError(f"{what}: no convergence within {_MAX_TERMS} terms "
                                    f"(last term {term!r}, partial sum {total!r})")
         total = total + term
-        if abs(term) < pol.term_tol:
+        if abs(term) < _TERM_TOL:
             small_run += 1
             if small_run >= _CONSECUTIVE_SMALL:
                 return total
@@ -210,7 +189,7 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
         prod, mag = (1.0 + 0.0j if isinstance(a, complex) else 1.0), abs(a)
     if infinite:
         k = _terms_above_cutoff(qq, mag)
-        if k > 10 * DEFAULT_POLICY.max_terms:  # reached only for q above about 0.9996
+        if k > 10 * _MAX_TERMS:  # reached only for q above about 0.9996
             raise ConvergenceError("infinite q-Pochhammer product did not settle")
     for lo in range(0, k, _POWER_RUN):
         powers = _q_powers(qq, lo, min(lo + _POWER_RUN, k))
@@ -223,7 +202,7 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
     return prod
 
 
-def e_q_tilde(x: Scalar, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLICY) -> Scalar:
+def e_q_tilde(x: Scalar, q: QParam | float) -> Scalar:
     """q-exponential sum_n x^n / (q;q)_n, convergent for |x| < 1."""
     qq = as_qparam(q).q
     if abs(x) >= 1.0:
@@ -237,10 +216,10 @@ def e_q_tilde(x: Scalar, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLI
             n += 1
             term = term * x / (1.0 - qq**n)
 
-    return _sum_series(terms(), pol, "e_q_tilde series")
+    return _sum_series(terms(), "e_q_tilde series")
 
 
-def e_q(x: Scalar, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLICY) -> Scalar:
+def e_q(x: Scalar, q: QParam | float) -> Scalar:
     """q-exponential sum_n x^n / [n]_q!, convergent for |x| < 1/(1-q).
 
     Algebraically equal to e_q_tilde((1-q) x); evaluated by its own series
@@ -258,10 +237,10 @@ def e_q(x: Scalar, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLICY) ->
             n += 1
             term = term * x * (1.0 - qq) / (1.0 - qq**n)
 
-    return _sum_series(terms(), pol, "e_q series")
+    return _sum_series(terms(), "e_q series")
 
 
-def e_q_reciprocal(x: float, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLICY) -> float:
+def e_q_reciprocal(x: float, q: QParam | float) -> float:
     """1 / e_q(x) on [0, 1/(1-q)], with the boundary value pinned to 0.
 
     e_q diverges at the right endpoint of its domain, so its reciprocal
@@ -274,10 +253,10 @@ def e_q_reciprocal(x: float, q: QParam | float, pol: TruncationPolicy = DEFAULT_
         raise DomainError(f"e_q_reciprocal requires x <= 1/(1-q) = {radius}")
     if math.isclose(x, radius, rel_tol=1e-14):
         return 0.0
-    return 1.0 / e_q(x, qq, pol)
+    return 1.0 / e_q(x, qq)
 
 
-def e_q_gaussian(x: Scalar, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLICY) -> Scalar:
+def e_q_gaussian(x: Scalar, q: QParam | float) -> Scalar:
     """Entire q-exponential variant sum_n ((1-q)/q)^n q^{n^2} x^n / (q;q)_n.
 
     The q^{n^2} damping makes this converge for every x; it is the
@@ -296,7 +275,7 @@ def e_q_gaussian(x: Scalar, q: QParam | float, pol: TruncationPolicy = DEFAULT_P
             if not math.isfinite(abs(term)):  # so is every later term, and the sum
                 raise OverflowError(f"e_q_gaussian series: term {n} overflows double range at x = {x!r}")
 
-    return _sum_series(terms(), pol, "e_q_gaussian series")
+    return _sum_series(terms(), "e_q_gaussian series")
 
 
 def q_derivative(f: Callable[[float], float], x: float, q: QParam | float) -> float:
@@ -307,25 +286,19 @@ def q_derivative(f: Callable[[float], float], x: float, q: QParam | float) -> fl
     return (f(x) - f(qq * x)) / (x * (1.0 - qq))
 
 
-def jackson_integral(
-    f: Callable[[float], float],
-    a: float,
-    q: QParam | float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def jackson_integral(f: Callable[[float], float | np.ndarray], a: float, q: QParam | float) -> float | np.ndarray:
     """Jackson q-integral a (1-q) sum_{k>=0} q^k f(q^k a) over [0, a].
 
-    The lattice sum is truncated once |q^k f(q^k a)| stays below term_tol;
-    ConvergenceError if the tail has not dropped below it at max_terms.
+    The lattice sum stops after three consecutive terms |q^k f(q^k a)| below
+    _TERM_TOL; ConvergenceError if it has not stopped within _MAX_TERMS.
+    f may return an ndarray, several integrands on the one lattice: each
+    element is then summed on its own under that rule, equal bit for bit to
+    a call integrating that element alone.
     """
     qq = as_qparam(q).q
     if not a > 0:
         raise DomainError("jackson_integral requires a > 0")
-
-    def terms() -> Iterator[float]:
-        k = 0
-        while True:
-            yield qq**k * f(qq**k * a)
-            k += 1
-
-    return a * (1.0 - qq) * _sum_series(terms(), pol, "Jackson integral lattice sum")
+    terms = (qq**k * f(qq**k * a) for k in itertools.count())
+    first = next(terms)
+    running = np.ones(first.shape, dtype=bool) if isinstance(first, np.ndarray) else None
+    return a * (1.0 - qq) * _sum_series(itertools.chain([first], terms), "Jackson integral lattice sum", running)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import polyfam
 from .errors import ConvergenceError, DomainError
-from .qcore import DEFAULT_POLICY, QParam, TruncationPolicy, as_qparam, q_pochhammer
+from .qcore import _MAX_TERMS, QParam, as_qparam, q_pochhammer
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ def gft_apply(
     y_grid: Sequence[float],
     q: QParam | float,
     n_terms: int,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Transform of f on a grid: sum_n (-i)^n <phi_n, f> phi_n(y).
 
@@ -74,14 +73,14 @@ def gft_apply(
     return (phases * coeffs) @ vals
 
 
-def gft_matrix(nmax: int, q: QParam | float, pol: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+def gft_matrix(nmax: int, q: QParam | float) -> np.ndarray:
     """Matrix elements <phi_m, F phi_n> on the truncated span.
 
     Built as G D G with G the quadrature Gram matrix and D = diag((-i)^n),
     so the result is diagonal exactly to the extent orthonormality holds.
     """
     qp = as_qparam(q)
-    gram = polyfam.gram_matrix(polyfam.rogers(qp), nmax, pol).matrix
+    gram = polyfam.gram_matrix(polyfam.rogers(qp), nmax).matrix
     phases = (-1j) ** np.arange(nmax + 1)
     return (gram * phases) @ gram
 
@@ -91,7 +90,6 @@ def mehler_closed_form_check(
     y: float,
     t: float,
     q: QParam | float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[float, float]:
     """Kernel series value at (x, y) next to its single-argument closed form.
 
@@ -104,7 +102,7 @@ def mehler_closed_form_check(
         raise DomainError("closed-form check is restricted to real t in [0, 1)")
     n_terms = 64
     prev = None
-    while n_terms <= pol.max_terms:
+    while n_terms <= _MAX_TERMS:
         val = poisson_kernel(x, y, KernelSpec(qp, t, n_terms)).real
         if prev is not None and abs(val - prev) < 1e-12 * (1.0 + abs(val)):
             break

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import coherent, oscillator, polyfam, transform
 from .qcore import (
-    DEFAULT_POLICY,
     as_qparam,
     e_q,
     e_q_reciprocal,
@@ -72,7 +71,7 @@ def suite_qcore(q: float = 0.5, seed: int = 1234, **_) -> VerificationReport:
         lhs = e_q(x, q)
         rhs = e_q_tilde((1.0 - q) * x, q)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    checks.append(_below("e_q(x) equals e~_q((1-q)x) on 100 random points", worst, DEFAULT_POLICY.rel_tol))
+    checks.append(_below("e_q(x) equals e~_q((1-q)x) on 100 random points", worst, 1e-12))
 
     worst = 0.0
     for _ in range(50):

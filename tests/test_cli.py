@@ -221,7 +221,7 @@ def test_non_finite_c_and_z_are_config_errors(args, message, capsys):
 
 
 def test_nan_gram_is_numerical_error(capsys, monkeypatch):
-    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax, pol: np.full((nmax + 1, nmax + 1), np.nan))
+    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax: np.full((nmax + 1, nmax + 1), np.nan))
     assert cli.main(["table", "--kind=gram", "--family=discrete2", "--nmax=3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

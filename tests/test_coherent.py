@@ -241,6 +241,12 @@ def test_resolution_moment_profile_matches_direct():
         assert computed == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_moment_profile_equals_each_direct_integral_bit_for_bit(q):
+    for n, (computed, _) in enumerate(resolution_moment_profile(15, q)):
+        assert computed.hex() == resolution_moment_check(n, q)[0].hex(), n
+
+
 def test_moment_recurrence_examples():
     assert moment_recurrence_check(1, 0.5) < 1e-10
     assert moment_recurrence_check(10, 0.5) < 1e-9

@@ -14,7 +14,6 @@ import pytest
 from qhermite import polyfam
 from qhermite.errors import ConvergenceError, QuadratureError
 from qhermite.polyfam import discrete2, gram_matrix
-from qhermite.qcore import DEFAULT_POLICY, TruncationPolicy
 
 
 def _psi_sequence_scaled(a, d, x):
@@ -37,11 +36,12 @@ def _psi_sequence_scaled(a, d, x):
     return vec, log_scale
 
 
-def reference_gram(family, nmax, pol=DEFAULT_POLICY, stats=None):
+def reference_gram(family, nmax, max_terms=10000, stats=None):
     """The lattice sum one point at a time, k = 0, 1, ... then -1, -2, ...
 
-    stats, if given, receives the point count of each side and the number of
-    1e120 rescales.
+    Each side stops after three points whose terms are below 1e-16 and
+    raises past max_terms points.  stats, if given, receives the point
+    count of each side and the number of 1e120 rescales.
     """
     q = family.q.q
     c = family.lattice_scale
@@ -77,10 +77,10 @@ def reference_gram(family, nmax, pol=DEFAULT_POLICY, stats=None):
         while small_run < 3:
             contrib, mag = lattice_term(k)
             gram += contrib
-            small_run = small_run + 1 if mag < pol.term_tol else 0
+            small_run = small_run + 1 if mag < 1e-16 else 0
             k += direction
             steps += 1
-            if steps > pol.max_terms:
+            if steps > max_terms:
                 raise ConvergenceError("type-II lattice sum did not decay within max_terms")
         if stats is not None:
             stats["positive" if direction == 1 else "negative"] = steps
@@ -94,7 +94,7 @@ def test_block_sum_equals_pointwise_loop_bit_for_bit(q):
     for nmax in (0, 1, 4, 8, 10, 25):
         for c in (0.01, 1.0, 2.5):
             fam = discrete2(q, c)
-            got = polyfam._discrete2_gram(fam, nmax, DEFAULT_POLICY)
+            got = polyfam._discrete2_gram(fam, nmax)
             assert got.tobytes() == reference_gram(fam, nmax).tobytes(), (nmax, c)
 
 
@@ -113,7 +113,7 @@ def test_stop_on_a_block_boundary(q, nmax, c, positive, negative):
     stats = {}
     want = reference_gram(fam, nmax, stats=stats)
     assert (stats["positive"], stats["negative"]) == (positive, negative)
-    assert polyfam._discrete2_gram(fam, nmax, DEFAULT_POLICY).tobytes() == want.tobytes()
+    assert polyfam._discrete2_gram(fam, nmax).tobytes() == want.tobytes()
 
 
 def _outcome(fn):
@@ -124,16 +124,16 @@ def _outcome(fn):
 
 
 @pytest.mark.parametrize("q,nmax", [(0.3, 4), (0.6, 6)])
-def test_max_terms_raises_at_the_same_step(q, nmax):
+def test_max_terms_raises_at_the_same_step(q, nmax, monkeypatch):
     fam = discrete2(q)
     stats = {}
     reference_gram(fam, nmax, stats=stats)
     needed = max(stats["positive"], stats["negative"])
     raised = 0
     for max_terms in range(1, needed + 3):
-        pol = TruncationPolicy(max_terms=max_terms)
-        want = _outcome(lambda: reference_gram(fam, nmax, pol))
-        assert _outcome(lambda: polyfam._discrete2_gram(fam, nmax, pol)) == want, max_terms
+        monkeypatch.setattr(polyfam, "_MAX_TERMS", max_terms)
+        want = _outcome(lambda: reference_gram(fam, nmax, max_terms))
+        assert _outcome(lambda: polyfam._discrete2_gram(fam, nmax)) == want, max_terms
         raised += isinstance(want, str)
     assert raised == needed - 1  # max_terms >= needed passes, every smaller cap raises
 
@@ -148,13 +148,13 @@ def test_points_past_the_stop_do_not_warn_or_raise(q, nmax, c):
     fam = discrete2(q, c)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = polyfam._discrete2_gram(fam, nmax, DEFAULT_POLICY)
+        got = polyfam._discrete2_gram(fam, nmax)
         assert got.tobytes() == reference_gram(fam, nmax).tobytes()
 
 
 def test_large_nmax_keeps_the_gram_exact():
     fam = discrete2(0.5)
-    assert polyfam._discrete2_gram(fam, 70, DEFAULT_POLICY).tobytes() == reference_gram(fam, 70).tobytes()
+    assert polyfam._discrete2_gram(fam, 70).tobytes() == reference_gram(fam, 70).tobytes()
 
 
 def test_gram_matrix_normalizes_the_block_sum():
@@ -164,6 +164,6 @@ def test_gram_matrix_normalizes_the_block_sum():
 
 
 def test_nan_gram_fails_the_orthogonality_gate(monkeypatch):
-    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax, pol: np.full((nmax + 1, nmax + 1), math.nan))
+    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax: np.full((nmax + 1, nmax + 1), math.nan))
     with pytest.raises(QuadratureError, match="off-diagonal Gram mass nan"):
         gram_matrix(discrete2(0.5), 3)

@@ -169,6 +169,19 @@ def test_qdiff_discrete2():
     assert qdiff_residual_discrete2(4, 0.5, X_GRID, perturb_lhs_q=0.25) > 1e-2
 
 
+@pytest.mark.parametrize("q,worst,control", [
+    (0.3, "0x1.27af030b5e8fap-49", "0x1.382fb1f4138b5p-6"),
+    (0.5, "0x1.700d3be1cd3a3p-49", "0x1.1111111111172p-4"),
+    (0.7, "0x1.004ccc07de6b0p-48", "0x1.15532d60ec180p-3"),
+    (0.9, "0x1.1a570ee9e140fp-46", "0x1.b222b06c628e4p-3"),
+])
+def test_qdiff_rogers_values_on_the_suite_inputs_are_pinned(q, worst, control):
+    """suite_qdiff's two continuous-family residuals, bit for bit."""
+    thetas = np.linspace(0.1, math.pi - 0.1, 20)
+    assert qdiff_residual_rogers(range(9), q, thetas).hex() == worst
+    assert qdiff_residual_rogers(3, q, thetas, perturb_order=4).hex() == control
+
+
 def test_qdiff_profile_over_degrees():
     for n in range(9):
         assert qdiff_residual_rogers(n, 0.5, THETA_GRID) < 1e-8

@@ -13,7 +13,6 @@ from qhermite import (
     Family,
     PoleError,
     QParam,
-    TruncationPolicy,
     UnsupportedFamily,
     discrete1,
     discrete1_eval,
@@ -28,6 +27,7 @@ from qhermite import (
     phi_ratio_series,
     polyfam,
     q_pochhammer,
+    qcore,
     recurrence_coeff,
     rogers,
     rogers_trig_eval,
@@ -272,6 +272,24 @@ def test_eval_sequence_matches_scalar():
             assert seq[n, j] == pytest.approx(eval_orthonormal(fam, n, float(x)), rel=1e-13)
 
 
+@pytest.mark.parametrize("family", [rogers(0.5), discrete2(0.7)])
+def test_eval_sequence_keeps_complex_points(family):
+    xs = np.array([0.3 + 0.2j, -1.5 - 0.4j, 2.0j, 0.7 + 0.0j, -0.0 - 0.0j])
+    seq = eval_orthonormal_sequence(family, 12, xs)
+    assert seq.dtype == complex and seq.shape == (13, 5)
+    real_part = eval_orthonormal_sequence(family, 12, xs.real)
+    assert not np.array_equal(seq[2:, 0], real_part[2:, 0])  # 0.3+0.2j is not read as 0.3
+    for j in range(xs.size):
+        # each point alone takes the same array arithmetic, so it matches bit for bit
+        assert eval_orthonormal_sequence(family, 12, xs[j : j + 1]).tobytes() == seq[:, j : j + 1].tobytes()
+        for n in range(13):
+            # numpy's vectorized complex multiply may fuse multiply and add, so it
+            # can round apart from the scalar recurrence in the last bits
+            assert seq[n, j] == pytest.approx(eval_orthonormal(family, n, complex(xs[j])), rel=1e-13, abs=1e-300)
+    assert eval_orthonormal_sequence(family, 3, [0.5, 0.25 + 0.5j]).dtype == complex
+    assert eval_orthonormal_sequence(family, 3, np.arange(3)).dtype == float
+
+
 def test_monic_and_orthonormal_tables_agree():
     # x h_n = h_{n+1} + c_n h_{n-1} is the orthonormal recurrence with c_n = b_{n-1}^2
     for kind in (Family.ROGERS, Family.DISCRETE_II):
@@ -385,17 +403,17 @@ def test_discrete2_array_rejects_any_zero_element():
         discrete2_eval_series(3, np.array([0.5, 0.0, 1.0]), 0.5)
 
 
-def test_array_series_convergence_error_when_any_element_fails():
-    pol = TruncationPolicy(max_terms=5)
-    assert phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.0]), pol).tolist() == [1.0, 1.0]
+def test_array_series_convergence_error_when_any_element_fails(monkeypatch):
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 5)
+    assert phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.0])).tolist() == [1.0, 1.0]
     with pytest.raises(ConvergenceError):
-        phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]), pol)
+        phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]))
 
 
-def test_array_series_convergence_error_names_the_entry_still_running():
-    pol = TruncationPolicy(max_terms=5)
+def test_array_series_convergence_error_names_the_entry_still_running(monkeypatch):
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 5)
     with pytest.raises(ConvergenceError, match=r"within 5 terms \(entry 1: last term [-+.e\d]+, partial sum [-+.e\d]+\)$"):
-        phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]), pol)
+        phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]))
 
 
 def test_array_series_pole_only_for_elements_still_running():

@@ -32,7 +32,7 @@ def reference_pochhammer(a, q, k):
     while mag * q**s >= 1e-18:
         prod = prod * (1.0 - a * q**s)
         s += 1
-        if s > 10 * qcore.DEFAULT_POLICY.max_terms:
+        if s > 10 * qcore._MAX_TERMS:
             raise ConvergenceError("infinite q-Pochhammer product did not settle")
     return prod
 
@@ -139,8 +139,8 @@ def test_convergence_error_at_the_same_factor(s_edge):
 def test_convergence_error_boundary_is_crossed():
     """The edge cases above raise on one side and return on the other."""
     q = 0.9995
-    assert qcore._terms_above_cutoff(q, 1e-18 / q**99999) <= 10 * qcore.DEFAULT_POLICY.max_terms
-    assert qcore._terms_above_cutoff(q, 1e-18 / q**100002) > 10 * qcore.DEFAULT_POLICY.max_terms
+    assert qcore._terms_above_cutoff(q, 1e-18 / q**99999) <= 10 * qcore._MAX_TERMS
+    assert qcore._terms_above_cutoff(q, 1e-18 / q**100002) > 10 * qcore._MAX_TERMS
     with pytest.raises(ConvergenceError):
         q_pochhammer(1.0, 0.9999, math.inf)
 

@@ -11,7 +11,6 @@ from qhermite import (
     ConvergenceError,
     DomainError,
     QParam,
-    TruncationPolicy,
     e_q,
     e_q_gaussian,
     e_q_reciprocal,
@@ -21,6 +20,7 @@ from qhermite import (
     q_factorial,
     q_number,
     q_pochhammer,
+    qcore,
 )
 
 Q_GRID = (0.3, 0.5, 0.7, 0.9)
@@ -30,15 +30,6 @@ def test_qparam_rejects_closed_interval():
     for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):
         with pytest.raises(DomainError):
             QParam(bad)
-
-
-def test_truncation_policy_validation():
-    with pytest.raises(DomainError):
-        TruncationPolicy(max_terms=0)
-    with pytest.raises(DomainError):
-        TruncationPolicy(term_tol=-1.0)
-    with pytest.raises(DomainError):
-        TruncationPolicy(rel_tol=float("inf"))
 
 
 def test_q_number_trivial():
@@ -140,19 +131,20 @@ def test_e_q_identity_random_points():
         assert abs(lhs - e_q_tilde(0.1 * float(x), 0.9)) <= 1e-12 * abs(lhs)
 
 
-def test_e_q_gaussian_examples():
+def test_e_q_gaussian_examples(monkeypatch):
     assert e_q_gaussian(0.0, 0.5) == 1.0
-    loose = TruncationPolicy(max_terms=10000, term_tol=1e-16, rel_tol=1e-12)
-    tight = TruncationPolicy(max_terms=20000, term_tol=1e-30, rel_tol=1e-14)
-    v1 = e_q_gaussian(1.0, 0.5, loose)
-    v2 = e_q_gaussian(1.0, 0.5, tight)
+    v1 = e_q_gaussian(1.0, 0.5)
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 20000)
+    monkeypatch.setattr(qcore, "_TERM_TOL", 1e-30)
+    v2 = e_q_gaussian(1.0, 0.5)
     assert v1 == pytest.approx(v2, rel=1e-12)
     assert math.isfinite(e_q_gaussian(100.0, 0.9))  # entire: no DomainError
 
 
-def test_e_q_gaussian_pathological_policy():
+def test_e_q_gaussian_pathological_policy(monkeypatch):
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 5)
     with pytest.raises(ConvergenceError):
-        e_q_gaussian(50.0, 0.9, TruncationPolicy(max_terms=5, term_tol=1e-16, rel_tol=1e-12))
+        e_q_gaussian(50.0, 0.9)
 
 
 def test_q_derivative_examples():
@@ -180,9 +172,37 @@ def test_jackson_integral_examples():
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
-def test_jackson_integral_convergence_error():
+def test_jackson_integral_convergence_error(monkeypatch):
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 4)
     with pytest.raises(ConvergenceError):
-        jackson_integral(lambda x: 1.0, 1.0, 0.9, TruncationPolicy(max_terms=4))
+        jackson_integral(lambda x: 1.0, 1.0, 0.9)
+
+
+def test_array_jackson_integral_equals_each_scalar_integral_bit_for_bit():
+    orders = np.arange(16.0)
+    for q in Q_GRID:
+        a = 1.0 / (1.0 - q)
+        integrands = (  # entries that stop at different lattice points, one of them at once
+            lambda x, n: e_q_reciprocal(q * x, q) * x**n,
+            lambda x, n: (-x) ** n * math.sin(n * x),
+            lambda x, n: 0.0 if n % 3 == 0 else x**-0.25 / n,
+        )
+        for f in integrands:
+            got = jackson_integral(lambda x: np.array([f(x, n) for n in range(16)]), a, q)
+            assert got.shape == (16,)
+            for n in range(16):
+                assert float(got[n]).hex() == float(jackson_integral(lambda x: f(x, n), a, q)).hex(), (q, n)
+        grid = jackson_integral(lambda x: np.float_power(x, orders).reshape(4, 4), a, q)
+        assert grid.tobytes() == jackson_integral(lambda x: np.float_power(x, orders), a, q).reshape(4, 4).tobytes()
+
+
+def test_array_jackson_integral_cap_names_the_entry_still_running(monkeypatch):
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 10)
+    jackson_integral(lambda x: np.array([0.0, 0.0]), 1.0, 0.9)  # both entries stop after three terms
+    # entry 0 stops after three zero terms; entry 1 decays like 0.9^k
+    with pytest.raises(ConvergenceError, match=r"^Jackson integral lattice sum: no convergence within 10 terms "
+                                               r"\(entry 1: last term [-+.e\d]+, partial sum [-+.e\d]+\)$"):
+        jackson_integral(lambda x: np.array([0.0, 1.0]), 1.0, 0.9)
 
 
 @given(
@@ -241,11 +261,6 @@ def test_moment_identity_direct():
             assert got == pytest.approx(q_factorial(n, q), rel=1e-9)
 
 
-def test_truncation_policy_rejects_non_integer_max_terms():
-    with pytest.raises(DomainError):
-        TruncationPolicy(max_terms=1.5)
-
-
 def test_q_pochhammer_infinite_on_arrays():
     zs = np.array([0.0, 0.3, -0.7, 0.5 + 0.5j, 1.5j, np.exp(1j)])
     for q in Q_GRID:
@@ -255,8 +270,9 @@ def test_q_pochhammer_infinite_on_arrays():
             assert g == pytest.approx(q_pochhammer(complex(z), q, math.inf), rel=1e-14, abs=1e-15)
 
 
-def test_max_terms_error_reports_the_last_term_and_the_partial_sum():
-    x, q, pol = 50.0, 0.9, TruncationPolicy(max_terms=5)
+def test_max_terms_error_reports_the_last_term_and_the_partial_sum(monkeypatch):
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 5)
+    x, q = 50.0, 0.9
     terms = [1.0]
     for n in range(1, 6):  # e_q_gaussian's term recurrence
         terms.append(terms[-1] * x * (1.0 - q) / q * q ** (2 * n - 1) / (1.0 - q**n))
@@ -266,7 +282,7 @@ def test_max_terms_error_reports_the_last_term_and_the_partial_sum():
     message = (f"e_q_gaussian series: no convergence within 5 terms "
                f"(last term {terms[5]!r}, partial sum {partial!r})")
     with pytest.raises(ConvergenceError) as info:
-        e_q_gaussian(x, q, pol)
+        e_q_gaussian(x, q)
     assert str(info.value) == message
 
 
