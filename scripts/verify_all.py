@@ -1,21 +1,13 @@
 #!/usr/bin/env python3
-"""Run every verification suite and print a one-line-per-check summary."""
+"""Run every verification suite: ``qhermite verify --suite all``, one row per check.
+
+Further arguments go to the command, e.g. ``--format csv`` or ``--q 0.7``.
+Exits 0 when every check passes, 1 when one fails, 2 on an error.
+"""
 
 import sys
 
-from qhermite import verify
-
-
-def main() -> int:
-    failures = 0
-    for report in verify.run_suites("all", q=0.5, seed=1234):
-        for chk in report.checks:
-            tag = "ok " if chk.passed else "FAIL"
-            print(f"[{tag}] {report.suite:<10} {chk.name:<60} {chk.measured:.3e} / {chk.bound:.1e}")
-            failures += 0 if chk.passed else 1
-    print(f"\n{failures} failing check(s)" if failures else "\nall checks passed")
-    return 1 if failures else 0
-
+from qhermite import cli
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.main(["verify", "--suite", "all", *sys.argv[1:]]))

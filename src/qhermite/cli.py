@@ -226,28 +226,11 @@ def _cmd_table(cfg: RunConfig) -> tuple[dict, list[dict], int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[dict, list[dict], int]:
-    if cfg.tol is not None and not cfg.tol > 0:
-        raise DomainError("--tol must be positive")
-    reports = verify.run_suites(
-        cfg.suite,
-        q=cfg.q,
-        nmax=cfg.nmax,
-        dim=cfg.dim,
-        seed=cfg.seed,
-        family=cfg.family if cfg.suite == "commutator" else None,
-        lattice_scale=cfg.lattice_scale,
-    )
-    rows = []
-    for rep in reports:
-        for chk in rep.checks:
-            bound, passed = chk.bound, chk.passed
-            # a user tolerance overrides defect bounds; negative controls
-            # (which must EXCEED their floor) keep the built-in semantics
-            if cfg.tol is not None and "[control>]" not in chk.name:
-                bound, passed = cfg.tol, chk.measured < cfg.tol
-            rows.append({"suite": rep.suite, "check": chk.name, "measured": _num(chk.measured),
-                         "bound": _num(bound), "passed": bool(passed)})
-    overall = all(row["passed"] for row in rows)
+    reports = verify.run_suites(cfg.suite, tol=cfg.tol, q=cfg.q, nmax=cfg.nmax, dim=cfg.dim, seed=cfg.seed,
+                                lattice_scale=cfg.lattice_scale)
+    rows = [{"suite": rep.suite, "check": chk.name, "measured": _num(chk.measured), "bound": _num(chk.bound),
+             "passed": chk.passed} for rep in reports for chk in rep.checks]
+    overall = all(rep.overall for rep in reports)
     meta = {"command": "verify", "suite": cfg.suite, "q": _num(cfg.q), "seed": cfg.seed,
             "overall": overall}
     return meta, rows, 0 if overall else 1
@@ -310,7 +293,7 @@ _COMMANDS = {
     "eval": (_cmd_eval, "evaluate one polynomial value", ("family", "q", "n", "x")),
     "table": (_cmd_table, "emit a rectangular data table", ("kind", "family", "q", "nmax", "z", "dim", "c")),
     "verify": (_cmd_verify, "run a verification suite",
-               ("suite", "family", "q", "nmax", "dim", "c", "tol", "seed")),
+               ("suite", "q", "nmax", "dim", "c", "tol", "seed")),
     "oscillator": (_cmd_oscillator, "dump a truncated operator matrix", ("kind", "family", "q", "dim")),
     "coherent": (_cmd_coherent, "coherent-state expansion summary", ("family", "q", "z", "dim")),
     "gft": (_cmd_gft, "generalized Fourier transform diagnostics", ("q", "nmax")),

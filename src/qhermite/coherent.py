@@ -283,6 +283,18 @@ def resolution_moment_profile(nmax: int, q: QParam | float) -> list[tuple[float,
     return [(moment, q_factorial(n, qp)) for n, moment in enumerate(_resolution_moments(nmax, qp))]
 
 
+def _moment_recurrence_defects(nmax: int, q: QParam | float, bases) -> list[float]:
+    """moment_recurrence_check's defect for each factor base, all from one Jackson pass."""
+    qp = as_qparam(q)
+    if nmax < 1:
+        raise DomainError("recurrence check needs nmax >= 1")
+    bases = [as_qparam(base) for base in bases]
+    moments = _resolution_moments(nmax, qp)
+    # max from 0.0 in step order, as a running max(worst, defect) would take it
+    return [max([0.0] + [abs(moments[n] - q_number(n, base) * moments[n - 1]) / abs(moments[n])
+                         for n in range(1, nmax + 1)]) for base in bases]
+
+
 def moment_recurrence_check(
     nmax: int,
     q: QParam | float,
@@ -294,13 +306,4 @@ def moment_recurrence_check(
     the closed form [n]_q!.  perturb_base swaps the factor [n]_q for
     [n]_{q'} as a negative control.
     """
-    qp = as_qparam(q)
-    if nmax < 1:
-        raise DomainError("recurrence check needs nmax >= 1")
-    factor_base = qp if perturb_base is None else as_qparam(perturb_base)
-    moments = _resolution_moments(nmax, qp)
-    worst = 0.0
-    for n in range(1, nmax + 1):
-        defect = abs(moments[n] - q_number(n, factor_base) * moments[n - 1]) / abs(moments[n])
-        worst = max(worst, defect)
-    return worst
+    return _moment_recurrence_defects(nmax, q, (q if perturb_base is None else perturb_base,))[0]

@@ -8,12 +8,14 @@ reproducible; the seed is recorded by the caller.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coherent, oscillator, polyfam, transform
+from .errors import DomainError
 from .qcore import (
     as_qparam,
     e_q,
@@ -33,6 +35,7 @@ class Check:
     measured: float
     bound: float
     passed: bool
+    defect: bool = False  # a defect bound, made by _below: run_suites' tol replaces it
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ class VerificationReport:
 
 
 def _below(name: str, measured: float, bound: float) -> Check:
-    return Check(name, float(measured), float(bound), bool(measured < bound))
+    return Check(name, float(measured), float(bound), bool(measured < bound), True)
 
 
 def _above(name: str, measured: float, bound: float) -> Check:
@@ -54,7 +57,7 @@ def _above(name: str, measured: float, bound: float) -> Check:
     return Check(name + " [control>]", float(measured), float(bound), bool(measured > bound))
 
 
-def suite_qcore(q: float = 0.5, seed: int = 1234, **_) -> VerificationReport:
+def suite_qcore(q: float = 0.5, seed: int = 1234) -> VerificationReport:
     rng = np.random.default_rng(seed)
     checks = []
     worst = 0.0
@@ -109,7 +112,7 @@ def suite_qcore(q: float = 0.5, seed: int = 1234, **_) -> VerificationReport:
     return VerificationReport("qcore", tuple(checks))
 
 
-def suite_jackson(q: float | None = None, nmax: int = 15, **_) -> VerificationReport:
+def suite_jackson(q: float | None = None, nmax: int = 15) -> VerificationReport:
     qs = (0.3, 0.5, 0.7, 0.9) if q is None else (q,)
     checks = []
     for qq in qs:
@@ -119,9 +122,8 @@ def suite_jackson(q: float | None = None, nmax: int = 15, **_) -> VerificationRe
     return VerificationReport("jackson", tuple(checks))
 
 
-def suite_moments(q: float = 0.5, nmax: int = 10, **_) -> VerificationReport:
-    defect = coherent.moment_recurrence_check(nmax, q)
-    control = coherent.moment_recurrence_check(nmax, q, perturb_base=q * q)
+def suite_moments(q: float = 0.5, nmax: int = 10) -> VerificationReport:
+    defect, control = coherent._moment_recurrence_defects(nmax, q, (q, q * q))
     return VerificationReport(
         "moments",
         (
@@ -131,7 +133,7 @@ def suite_moments(q: float = 0.5, nmax: int = 10, **_) -> VerificationReport:
     )
 
 
-def suite_gram(q: float = 0.5, nmax: int = 10, lattice_scale: float = 1.0, **_) -> VerificationReport:
+def suite_gram(q: float = 0.5, nmax: int = 10, lattice_scale: float = 1.0) -> VerificationReport:
     checks = []
     for qq in ((q, 0.9) if q == 0.5 else (q,)):
         report = polyfam.gram_matrix(polyfam.rogers(qq), nmax)
@@ -144,7 +146,7 @@ def suite_gram(q: float = 0.5, nmax: int = 10, lattice_scale: float = 1.0, **_) 
     return VerificationReport("gram", tuple(checks))
 
 
-def suite_crosseval(q: float = 0.5, nmax: int = 12, seed: int = 1234, **_) -> VerificationReport:
+def suite_crosseval(q: float = 0.5, nmax: int = 12, seed: int = 1234) -> VerificationReport:
     rng = np.random.default_rng(seed)
     fam_r = polyfam.rogers(q)
     fam_d2 = polyfam.discrete2(q)
@@ -177,30 +179,27 @@ def suite_crosseval(q: float = 0.5, nmax: int = 12, seed: int = 1234, **_) -> Ve
     )
 
 
-def suite_commutator(family: str = "rogers", q: float = 0.5, dim: int = 20, **_) -> VerificationReport:
+def suite_commutator(q: float = 0.5, dim: int = 20) -> VerificationReport:
     checks = []
-    if family in ("rogers", "all"):
-        for qq in (q, 0.9) if q == 0.5 else (q,):
-            res = oscillator.commutator_residual(
-                oscillator.Relation.ARIK_COON, oscillator.rogers_bn(), qq, dim
-            )
-            checks.append(_below(f"Arik-Coon relation q={qq}, dim={dim}", res, 1e-12))
-    if family in ("discrete2", "all"):
-        for rel, tag in (
-            (oscillator.Relation.Q_INVERSE, "q^-1 relation"),
-            (oscillator.Relation.Q_INVERSE_SQUARED, "q^-2 relation"),
-        ):
-            res = oscillator.commutator_residual(rel, oscillator.discrete2_bn(), q, dim)
-            checks.append(_below(f"lattice {tag} q={q}, dim={dim}", res, 1e-10))
-    if family == "all":
-        mismatch = oscillator.commutator_residual(
-            oscillator.Relation.ARIK_COON, oscillator.discrete2_bn(), q, dim
+    for qq in (q, 0.9) if q == 0.5 else (q,):
+        res = oscillator.commutator_residual(
+            oscillator.Relation.ARIK_COON, oscillator.rogers_bn(), qq, dim
         )
-        checks.append(_above("Arik-Coon relation on lattice source", mismatch, 1e-1))
+        checks.append(_below(f"Arik-Coon relation q={qq}, dim={dim}", res, 1e-12))
+    for rel, tag in (
+        (oscillator.Relation.Q_INVERSE, "q^-1 relation"),
+        (oscillator.Relation.Q_INVERSE_SQUARED, "q^-2 relation"),
+    ):
+        res = oscillator.commutator_residual(rel, oscillator.discrete2_bn(), q, dim)
+        checks.append(_below(f"lattice {tag} q={q}, dim={dim}", res, 1e-10))
+    mismatch = oscillator.commutator_residual(
+        oscillator.Relation.ARIK_COON, oscillator.discrete2_bn(), q, dim
+    )
+    checks.append(_above("Arik-Coon relation on lattice source", mismatch, 1e-1))
     return VerificationReport("commutator", tuple(checks))
 
 
-def suite_spectrum(q: float = 0.5, nmax: int = 25, **_) -> VerificationReport:
+def suite_spectrum(q: float = 0.5, nmax: int = 25) -> VerificationReport:
     checks = []
     for src, tag in ((oscillator.rogers_bn(), "continuous"), (oscillator.discrete2_bn(), "lattice")):
         lam = oscillator.spectrum(src, q, nmax)
@@ -217,7 +216,7 @@ def suite_spectrum(q: float = 0.5, nmax: int = 25, **_) -> VerificationReport:
     return VerificationReport("spectrum", tuple(checks))
 
 
-def suite_qdiff(q: float = 0.5, nmax: int = 8, **_) -> VerificationReport:
+def suite_qdiff(q: float = 0.5, nmax: int = 8) -> VerificationReport:
     thetas = np.linspace(0.1, math.pi - 0.1, 20)
     xs = (-2.0, -1.0, 0.5, 1.0, 3.0)
     worst_r = oscillator.qdiff_residual_rogers(range(nmax + 1), q, thetas)
@@ -235,7 +234,7 @@ def suite_qdiff(q: float = 0.5, nmax: int = 8, **_) -> VerificationReport:
     )
 
 
-def suite_coherent(q: float = 0.5, seed: int = 1234, **_) -> VerificationReport:
+def suite_coherent(q: float = 0.5, seed: int = 1234) -> VerificationReport:
     rng = np.random.default_rng(seed)
     checks = []
     worst = 0.0
@@ -286,7 +285,7 @@ def suite_coherent(q: float = 0.5, seed: int = 1234, **_) -> VerificationReport:
     return VerificationReport("coherent", tuple(checks))
 
 
-def suite_overlap(q: float = 0.5, seed: int = 1234, **_) -> VerificationReport:
+def suite_overlap(q: float = 0.5, seed: int = 1234) -> VerificationReport:
     rng = np.random.default_rng(seed)
     radius = coherent.rogers_radius(q)
     fam = polyfam.rogers(q)
@@ -308,7 +307,7 @@ def suite_overlap(q: float = 0.5, seed: int = 1234, **_) -> VerificationReport:
     )
 
 
-def suite_radius(q: float = 0.5, **_) -> VerificationReport:
+def suite_radius(q: float = 0.5) -> VerificationReport:
     u_cont = [1.0 / q_factorial(n, q) for n in range(30)]
     rep = coherent.radius_estimate(u_cont)
     err = abs(rep.estimate - coherent.rogers_radius(q))
@@ -326,7 +325,7 @@ def suite_radius(q: float = 0.5, **_) -> VerificationReport:
     )
 
 
-def suite_gft(q: float = 0.5, nmax: int = 12, **_) -> VerificationReport:
+def suite_gft(q: float = 0.5, nmax: int = 12) -> VerificationReport:
     checks = []
     for qq in ((q, 0.9) if q == 0.5 else (q,)):
         fam = polyfam.rogers(qq)
@@ -369,18 +368,18 @@ SUITES = {
 }
 
 
-def run_suites(name: str, **params) -> list[VerificationReport]:
-    """Run one named suite, or every suite for name='all'."""
+def run_suites(name: str, tol: float | None = None, **params) -> list[VerificationReport]:
+    """Run one named suite, or every suite for name='all', passing each suite the non-None params
+    its signature names.  A tol replaces every defect bound (Check.defect); other checks keep theirs."""
+    if tol is not None and not tol > 0:
+        raise DomainError("--tol must be positive")
     if params.get("q") is not None:
         as_qparam(params["q"])  # early validation of the q flag
-    if name == "all":
-        out = []
-        for suite_name, fn in SUITES.items():
-            kwargs = dict(params)
-            if suite_name == "commutator":
-                kwargs.setdefault("family", "all")
-            out.append(fn(**{k: v for k, v in kwargs.items() if v is not None}))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[name](**{k: v for k, v in params.items() if v is not None})]
+    reports = [fn(**{k: v for k, v in params.items() if v is not None and k in inspect.signature(fn).parameters})
+               for fn in (SUITES.values() if name == "all" else [SUITES[name]])]
+    if tol is None:
+        return reports
+    return [VerificationReport(r.suite, tuple(_below(c.name, c.measured, tol) if c.defect else c for c in r.checks))
+            for r in reports]

@@ -51,15 +51,55 @@ def test_verify_jackson_exit_zero(capsys):
     assert max(r["measured"] for r in payload["rows"]) < 1e-9
 
 
-def test_verify_commutator_rogers(capsys):
+def test_verify_commutator_covers_both_families(capsys):
     status, out = run_cli(
-        ["verify", "--suite", "commutator", "--family", "rogers", "--q", "0.9", "--dim", "25",
-         "--format", "json"],
+        ["verify", "--suite", "commutator", "--q", "0.9", "--dim", "25", "--format", "json"],
         capsys,
     )
     assert status == 0
     rows = json.loads(out)["rows"]
-    assert rows and all(r["measured"] < 1e-12 for r in rows)
+    assert [r["check"].split(" q=")[0] for r in rows] == [
+        "Arik-Coon relation", "lattice q^-1 relation", "lattice q^-2 relation",
+        "Arik-Coon relation on lattice source [control>]",
+    ]
+    *defects, control = rows
+    assert all(r["measured"] < 1e-12 for r in defects)
+    assert round(control["measured"]) == 325 and control["passed"]
+
+
+def test_verify_has_no_family_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--family=rogers"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --family=rogers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7])
+@pytest.mark.parametrize("suite", ["all", *verify.SUITES])
+def test_verify_rows_are_the_reports_of_run_suites(suite, q, capsys):
+    status, out = run_cli(["verify", f"--suite={suite}", f"--q={q}", "--format=json"], capsys)
+    got = [(r["suite"], r["check"], r["measured"], r["bound"], r["passed"]) for r in json.loads(out)["rows"]]
+    reports = verify.run_suites(suite, q=q, seed=1234)
+    assert got == [(rep.suite, c.name, cli._num(c.measured), cli._num(c.bound), c.passed)
+                   for rep in reports for c in rep.checks]
+    assert status == (0 if all(rep.overall for rep in reports) else 1)
+    if suite == "all":
+        assert len(got) == (50 if q == 0.5 else 46)
+
+
+@pytest.mark.parametrize("suite,tol", [("radius", "1e-3"), ("all", "1")])
+def test_tol_replaces_only_defect_bounds(suite, tol, capsys):
+    status, out = run_cli(["verify", f"--suite={suite}", f"--tol={tol}", "--format=json"], capsys)
+    assert status == 0
+    own = {(rep.suite, c.name): c for rep in verify.run_suites(suite, q=0.5, seed=1234) for c in rep.checks}
+    for row in json.loads(out)["rows"]:
+        chk = own[row["suite"], row["check"]]
+        if chk.defect:
+            assert (row["bound"], row["passed"]) == (float(tol), chk.measured < float(tol))
+        else:  # a negative control or a classification keeps its bound and verdict
+            assert (row["bound"], row["passed"]) == (cli._num(chk.bound), chk.passed)
+    assert {name for (_, name), c in own.items() if not c.defect} >= {
+        "lattice family classified entire", "q^(-n^2) growth classified radius-zero"}
 
 
 def test_verify_unknown_suite_is_config_error(capsys):
@@ -355,7 +395,7 @@ def test_argparse_error_leaves_parser_usable(capsys):
 DECLARED = {
     "eval": ("family", "q", "n", "x"),
     "table": ("kind", "family", "q", "nmax", "z", "dim", "c"),
-    "verify": ("suite", "family", "q", "nmax", "dim", "c", "tol", "seed"),
+    "verify": ("suite", "q", "nmax", "dim", "c", "tol", "seed"),
     "oscillator": ("kind", "family", "q", "dim"),
     "coherent": ("family", "q", "z", "dim"),
     "gft": ("q", "nmax"),
@@ -369,12 +409,12 @@ KIND_VALUES = {"table": "gram", "oscillator": "raising"}
 DESTS = {"c": "lattice_scale", "format": "fmt"}
 
 
-def test_the_cli_has_41_settable_values():
+def test_the_cli_has_40_settable_values():
     (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = {name: tuple(a.option_strings[0][2:] for a in p._actions if a.dest != "help")
                for name, p in commands.choices.items()}
     assert options == {name: opts + ("format", "out") for name, opts in DECLARED.items()}
-    assert sum(map(len, options.values())) == 41
+    assert sum(map(len, options.values())) == 40
 
 
 @pytest.mark.parametrize("option", ["kind", *OPTION_VALUES])
@@ -404,14 +444,11 @@ def _reference_rows(cfg):
                  else polyfam.eval_orthonormal(fam, cfg.n, cfg.x))
         rows.append({"n": cfg.n, "x": num(cfg.x), "value": num(value)})
     elif cfg.command == "verify":
-        for rep in verify.run_suites(cfg.suite, q=cfg.q, nmax=cfg.nmax, dim=cfg.dim, seed=cfg.seed,
+        for rep in verify.run_suites(cfg.suite, tol=cfg.tol, q=cfg.q, nmax=cfg.nmax, dim=cfg.dim, seed=cfg.seed,
                                      lattice_scale=cfg.lattice_scale):
             for chk in rep.checks:
-                bound, passed = chk.bound, chk.passed
-                if cfg.tol is not None and "[control>]" not in chk.name:
-                    bound, passed = cfg.tol, chk.measured < cfg.tol
                 rows.append({"suite": rep.suite, "check": chk.name, "measured": num(chk.measured),
-                             "bound": num(bound), "passed": bool(passed)})
+                             "bound": num(chk.bound), "passed": chk.passed})
     elif cfg.command == "oscillator":
         dim = cfg.dim if cfg.dim is not None else 8
         op = oscillator.build_operator(oscillator.OperatorKind(cfg.kind), oscillator.source_for_family(fam), cfg.q, dim)

@@ -2,12 +2,13 @@
 against the pointwise loops they replace."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from qhermite import DomainError, polyfam, qdiff_residual_rogers, verify
+from qhermite import DomainError, coherent, polyfam, qdiff_residual_rogers, verify
 from qhermite.qcore import q_number, q_pochhammer
 
 
@@ -113,3 +114,36 @@ def test_qdiff_rogers_rejects_empty_or_negative_degrees():
         qdiff_residual_rogers([], 0.5, [1.0])
     with pytest.raises(DomainError):
         qdiff_residual_rogers([2, -1], 0.5, [1.0])
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_moments_suite_values_are_the_two_recurrence_checks(q):
+    defect, control = verify.suite_moments(q=q).checks
+    assert defect.measured == coherent.moment_recurrence_check(10, q)
+    assert control.measured == coherent.moment_recurrence_check(10, q, perturb_base=q * q)
+
+
+@pytest.mark.parametrize("name", verify.SUITES)
+def test_a_suite_rejects_an_argument_it_does_not_read(name):
+    with pytest.raises(TypeError):
+        verify.SUITES[name](family="rogers")
+
+
+def test_run_suites_passes_each_suite_the_arguments_its_signature_names(monkeypatch):
+    seen = {}
+
+    def suite(q=0.5, dim=20):
+        seen.update(q=q, dim=dim)
+        return verify.VerificationReport("probe", ())
+
+    # a wrapper that keeps __wrapped__, as a tracer does, exposes the suite's signature
+    wrapper = functools.wraps(suite)(lambda *args, **kwargs: suite(*args, **kwargs))
+    monkeypatch.setitem(verify.SUITES, "probe", wrapper)
+    verify.run_suites("probe", q=0.3, dim=None, nmax=4, seed=1, lattice_scale=2.0)
+    assert seen == {"q": 0.3, "dim": 20}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+def test_run_suites_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(DomainError, match="must be positive"):
+        verify.run_suites("radius", tol=tol)
