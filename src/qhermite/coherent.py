@@ -27,6 +27,7 @@ from .polyfam import Family, FamilyDescriptor
 from .qcore import (
     _MAX_TERMS,
     QParam,
+    _power_table,
     as_qparam,
     e_q_gaussian,
     e_q_reciprocal,
@@ -74,33 +75,31 @@ def rogers_radius(q: QParam | float) -> float:
 
 
 def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None) -> np.ndarray:
+    """c_0 = 1, c_1, ... by the ratio c_{n+1}/c_n of the family: dim of them, or
+    with dim=None until the next would satisfy |c|^2 < _TAIL_SQ times the running sum."""
     q = family.q.q
+    rogers = family.kind is Family.ROGERS
+    p = _power_table(q)
     coeffs = [1.0 + 0.0j]
-    total = 1.0
-
-    def next_coeff(n: int, prev: complex) -> complex:
-        # ratio c_{n+1}/c_n for each family
-        if family.kind is Family.ROGERS:
-            return prev * z / math.sqrt((1.0 - q ** (n + 1)) / (1.0 - q))  # 1/sqrt([n+1]_q)
-        return prev * z * q**n * math.sqrt((1.0 - q) / (1.0 - q ** (n + 1)))
-
-    if dim is not None:
-        for n in range(dim - 1):
-            coeffs.append(next_coeff(n, coeffs[-1]))
-        return np.array(coeffs)
-    n = 0
+    prev, total = coeffs[0], 1.0
     try:
-        while True:
-            nxt = next_coeff(n, coeffs[-1])
-            if n >= 3 and abs(nxt) ** 2 < _TAIL_SQ * total:
-                break
+        for n in range(_MAX_TERMS if dim is None else dim - 1):
+            if n + 1 == len(p):
+                p = _power_table(q, 2 * len(p))
+            if rogers:
+                nxt = prev * z / math.sqrt((1.0 - p[n + 1]) / (1.0 - q))  # 1/sqrt([n+1]_q)
+            else:
+                nxt = prev * z * p[n] * math.sqrt((1.0 - q) / (1.0 - p[n + 1]))
+            if dim is None:
+                if n >= 3 and abs(nxt) ** 2 < _TAIL_SQ * total:
+                    return np.array(coeffs)
+                total += abs(nxt) ** 2
             coeffs.append(nxt)
-            total += abs(nxt) ** 2
-            n += 1
-            if n >= _MAX_TERMS:
-                raise ConvergenceError("coherent expansion did not reach its tail bound within max_terms")
+            prev = nxt
     except OverflowError:
         raise OverflowError(f"coherent state |c_n|^2 overflows double range at n = {n + 1}, |z| = {abs(z)!r}") from None
+    if dim is None:
+        raise ConvergenceError("coherent expansion did not reach its tail bound within max_terms")
     return np.array(coeffs)
 
 

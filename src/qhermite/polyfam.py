@@ -488,22 +488,36 @@ def _theta_rule(qq: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, weights
 
 
+#: Rogers basis tables kept per process; one verify-all run uses 8 (q, n_nodes, nmax) triples
+_ROGERS_BASIS_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_ROGERS_BASIS_CACHE_SIZE)
+def _rogers_basis(qq: float, n_nodes: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, vals): the nodes x = cos(theta) of the n_nodes theta rule and the
+    orthonormal Rogers polynomials of degree 0..nmax there, both read-only."""
+    xs = np.cos(_theta_rule(qq, n_nodes)[0])
+    vals = eval_orthonormal_sequence(rogers(qq), nmax, xs)
+    xs.setflags(write=False)
+    vals.setflags(write=False)
+    return xs, vals
+
+
 def rogers_quadrature(q: QParam | float, nmax: int, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       tol: float, what: str) -> np.ndarray:
     """(vals * w) @ rhs(xs, vals) on the Rogers theta rule, where vals holds
-    the orthonormal polynomials of degree 0..nmax at the nodes xs.
+    the orthonormal polynomials of degree 0..nmax at the nodes xs.  Both
+    come from a cache and are read-only.
 
     The node count doubles from 128 until the result changes by less than
     tol relative to its size; QuadratureError names `what` otherwise.
     """
     qp = as_qparam(q)
-    fam = rogers(qp)
     n_nodes = 128
     prev = None
     while n_nodes <= 1 << 15:
-        theta, w = rogers_theta_rule(qp, n_nodes)
-        xs = np.cos(theta)
-        vals = eval_orthonormal_sequence(fam, nmax, xs)
+        _, w = rogers_theta_rule(qp, n_nodes)
+        xs, vals = _rogers_basis(qp.q, n_nodes, nmax)
         result = (vals * w) @ rhs(xs, vals)
         change = float(np.max(np.abs(result - prev))) if prev is not None else math.inf
         if change < tol * (1.0 + float(np.max(np.abs(result)))):

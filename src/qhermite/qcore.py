@@ -8,9 +8,11 @@ parameter 0 < q < 1.  Everything here is a pure function; all heavy users
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
@@ -32,9 +34,21 @@ class QParam:
             raise DomainError(f"deformation parameter must satisfy 0 < q < 1, got {self.q!r}")
 
 
+#: QParams kept per process, one per distinct float value of q
+_QPARAM_CACHE_SIZE = 256
+
+
 def as_qparam(q: QParam | float) -> QParam:
-    """Coerce a float into a validated QParam (idempotent)."""
-    return q if isinstance(q, QParam) else QParam(float(q))
+    """Coerce a float into a validated QParam (idempotent).
+
+    Equal floats share one cached QParam; an invalid q raises every time.
+    """
+    return q if isinstance(q, QParam) else _qparam(float(q))
+
+
+@functools.lru_cache(maxsize=_QPARAM_CACHE_SIZE)
+def _qparam(q: float) -> QParam:
+    return QParam(q)
 
 
 #: a series or lattice sum is done once this many consecutive terms ...
@@ -73,28 +87,35 @@ def _sum_series(terms: Iterable, what: str, running: np.ndarray | None = None):
     if running is not None:
         small_run = np.zeros(running.shape, dtype=int)
         for k, term in enumerate(terms):
+            if k == 0:
+                total = np.zeros(running.shape, np.result_type(term, total))
+            elif term.dtype != total.dtype:  # a float sum meeting its first complex term
+                total = total.astype(np.result_type(term, total))
             if k >= _MAX_TERMS and running.any():
                 i = running.argmax()  # the first entry still running
                 raise ConvergenceError(f"{what}: no convergence within {_MAX_TERMS} terms (entry {i}: last term "
                                        f"{term.flat[i].item()!r}, partial sum {total.flat[i].item()!r})")
-            total = np.where(running, total + term, total)
-            small_run = np.where(abs(term) < _TERM_TOL, small_run + 1, 0)
+            np.add(total, term, out=total, where=running)
+            small_run += 1
+            small_run *= np.abs(term) < _TERM_TOL  # counts consecutive small terms, 0 after a large one
             running &= small_run < _CONSECUTIVE_SMALL
             if not running.any():
                 break
         return total
     small_run = 0
-    for k, term in enumerate(terms):
-        if k >= _MAX_TERMS:
-            raise ConvergenceError(f"{what}: no convergence within {_MAX_TERMS} terms "
-                                   f"(last term {term!r}, partial sum {total!r})")
+    max_terms, tol, needed = _MAX_TERMS, _TERM_TOL, _CONSECUTIVE_SMALL  # read once per call
+    terms = iter(terms)
+    for term in itertools.islice(terms, max_terms):
         total = total + term
-        if abs(term) < _TERM_TOL:
+        if abs(term) < tol:
             small_run += 1
-            if small_run >= _CONSECUTIVE_SMALL:
+            if small_run >= needed:
                 return total
         else:
             small_run = 0
+    for term in terms:  # a term past the cap
+        raise ConvergenceError(f"{what}: no convergence within {max_terms} terms "
+                               f"(last term {term!r}, partial sum {total!r})")
     return total
 
 
@@ -124,6 +145,39 @@ def _q_powers(q: float, start: int, stop: int, step: int = 1) -> np.ndarray:
     equals q ** (step*s) bit for bit.
     """
     return np.float_power(q, np.arange(start * step, stop * step, step, dtype=float))
+
+
+#: power tables kept per process, one per value of q; one verify-all run uses 2
+_POWER_TABLE_CACHE_SIZE = 8
+#: a power table starts with this many entries and doubles as readers need more ...
+_POWER_TABLE_START = 64
+#: ... up to this many (1 MiB of Python floats), more than the 2 _MAX_TERMS powers a
+#: series reads; a longer product takes its further powers from _q_powers
+_POWER_TABLE_MAX = 1 << 15
+_POWER_TABLE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_POWER_TABLE_CACHE_SIZE)
+def _power_table_of(q: float) -> list[float]:
+    return _q_powers(q, 0, _POWER_TABLE_START).tolist()
+
+
+def _power_table(q: float, n: int = 0) -> list[float]:
+    """A list of at least n powers, and never fewer than _POWER_TABLE_START,
+    whose entry s is q ** s bit for bit.
+
+    Up to n = _POWER_TABLE_MAX this is q's shared table, which only ever
+    grows, by doubling; readers must not change it, and entries already in
+    it never change.  A longer request gets a list of n powers of its own.
+    """
+    if n > _POWER_TABLE_MAX:
+        return _q_powers(q, 0, n).tolist()
+    table = _power_table_of(q)
+    if len(table) < n:
+        with _POWER_TABLE_LOCK:  # one writer at a time, so each entry is appended once
+            while len(table) < n:
+                table.extend(_q_powers(q, len(table), 2 * len(table)).tolist())
+    return table
 
 
 def _terms_above_cutoff(q: float, mag: float, step: int = 1) -> int:
@@ -191,13 +245,14 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
         k = _terms_above_cutoff(qq, mag)
         if k > 10 * _MAX_TERMS:  # reached only for q above about 0.9996
             raise ConvergenceError("infinite q-Pochhammer product did not settle")
+    # a 1-element array stays in the loop: numpy reduces it with another complex multiply
+    blocks = isinstance(a, np.ndarray) and 1 < a.size <= _POCHHAMMER_MAX_SIZE and a.dtype.kind in "biufc"
     for lo in range(0, k, _POWER_RUN):
-        powers = _q_powers(qq, lo, min(lo + _POWER_RUN, k))
-        # a 1-element array stays in the loop: numpy reduces it with another complex multiply
-        if isinstance(a, np.ndarray) and 1 < a.size <= _POCHHAMMER_MAX_SIZE and a.dtype.kind in "biufc":
-            prod = _multiply_factors(prod, a, powers)
+        hi = min(lo + _POWER_RUN, k)
+        if blocks:
+            prod = _multiply_factors(prod, a, _q_powers(qq, lo, hi))
         else:
-            for p in powers.tolist():
+            for p in _power_table(qq, hi)[lo:hi] if hi <= _POWER_TABLE_MAX else _q_powers(qq, lo, hi).tolist():
                 prod = prod * (1.0 - a * p)
     return prod
 
@@ -210,11 +265,13 @@ def e_q_tilde(x: Scalar, q: QParam | float) -> Scalar:
 
     def terms() -> Iterator[Scalar]:
         term: Scalar = 1.0
-        n = 0
-        while True:
-            yield term
-            n += 1
-            term = term * x / (1.0 - qq**n)
+        yield term
+        p, lo = _power_table(qq), 1
+        while True:  # the powers a table holds, then its doubling
+            for n in range(lo, len(p)):
+                term = term * x / (1.0 - p[n])
+                yield term
+            p, lo = _power_table(qq, 2 * n + 2), n + 1
 
     return _sum_series(terms(), "e_q_tilde series")
 
@@ -230,12 +287,15 @@ def e_q(x: Scalar, q: QParam | float) -> Scalar:
         raise DomainError(f"e_q requires |x| < 1/(1-q) = {1.0 / (1.0 - qq)}, got |x| = {abs(x)}")
 
     def terms() -> Iterator[Scalar]:
+        one_minus_q = 1.0 - qq
         term: Scalar = 1.0
-        n = 0
-        while True:
-            yield term
-            n += 1
-            term = term * x * (1.0 - qq) / (1.0 - qq**n)
+        yield term
+        p, lo = _power_table(qq), 1
+        while True:  # the powers a table holds, then its doubling
+            for n in range(lo, len(p)):
+                term = term * x * one_minus_q / (1.0 - p[n])
+                yield term
+            p, lo = _power_table(qq, 2 * n + 2), n + 1
 
     return _sum_series(terms(), "e_q series")
 
@@ -265,15 +325,18 @@ def e_q_gaussian(x: Scalar, q: QParam | float) -> Scalar:
     qq = as_qparam(q).q
 
     def terms() -> Iterator[Scalar]:
+        one_minus_q = 1.0 - qq
         term: Scalar = 1.0
-        n = 0
-        while True:
-            yield term
-            n += 1
-            # ratio of consecutive coefficients: ((1-q)/q) q^{2n-1} / (1 - q^n)
-            term = term * x * (1.0 - qq) / qq * qq ** (2 * n - 1) / (1.0 - qq**n)
-            if not math.isfinite(abs(term)):  # so is every later term, and the sum
-                raise OverflowError(f"e_q_gaussian series: term {n} overflows double range at x = {x!r}")
+        yield term
+        p, lo = _power_table(qq), 1
+        while True:  # the terms whose powers a table holds, then its doubling
+            for n in range(lo, len(p) // 2 + 1):
+                # ratio of consecutive coefficients: ((1-q)/q) q^{2n-1} / (1 - q^n)
+                term = term * x * one_minus_q / qq * p[2 * n - 1] / (1.0 - p[n])
+                if not math.isfinite(abs(term)):  # so is every later term, and the sum
+                    raise OverflowError(f"e_q_gaussian series: term {n} overflows double range at x = {x!r}")
+                yield term
+            p, lo = _power_table(qq, 4 * n), n + 1
 
     return _sum_series(terms(), "e_q_gaussian series")
 

@@ -1,0 +1,227 @@
+"""The q-only tables the library caches: results with warm and with cleared
+caches, readers of the power table against today's arithmetic, read-only
+arrays and bounded caches."""
+
+import inspect
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from qhermite import cli, coherent, oscillator, polyfam, qcore, transform, verify
+from qhermite.errors import ConvergenceError
+from qhermite.qcore import e_q, e_q_gaussian, e_q_tilde
+
+MODULES = (qcore, polyfam, oscillator, coherent, transform, verify, cli)
+
+#: the caches of q-only tables
+TABLE_CACHES = (qcore._qparam, qcore._power_table_of, polyfam._theta_rule, polyfam._rogers_basis)
+
+Q_GRID = [0.05, 0.3, 0.5, 0.9, 0.99]
+
+
+def clear_caches():
+    for cache in TABLE_CACHES:
+        cache.cache_clear()
+
+
+def fresh_rogers_quadrature(q, nmax, rhs, tol):
+    """rogers_quadrature with every table built afresh: the theta rule, its
+    nodes and the basis values."""
+    fam = polyfam.rogers(q)
+    n_nodes, prev = 128, None
+    while True:
+        theta, w = polyfam._theta_rule.__wrapped__(q, n_nodes)
+        xs = np.cos(theta)
+        vals = polyfam.eval_orthonormal_sequence(fam, nmax, xs)
+        result = (vals * w) @ rhs(xs, vals)
+        change = float(np.max(np.abs(result - prev))) if prev is not None else math.inf
+        if change < tol * (1.0 + float(np.max(np.abs(result)))):
+            return result
+        prev, n_nodes = result, 2 * n_nodes
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_quadrature_results_are_the_same_with_warm_and_cleared_caches(q):
+    ys = np.linspace(-1.0, 1.0, 33)
+
+    def f(xs):
+        return np.exp(xs) * np.sin(3.0 * xs)
+
+    def results():
+        return [
+            polyfam.rogers_quadrature(q, 8, lambda xs, vals: np.stack([np.cos(xs), xs * xs], 1), 1e-12, "probe"),
+            polyfam.gram_matrix(polyfam.rogers(q), 10).matrix,
+            transform.gft_apply(f, ys, q, 9),
+        ]
+
+    clear_caches()
+    cold = results()
+    warm = results()
+    coeffs = fresh_rogers_quadrature(q, 8, lambda xs, vals: np.asarray(f(xs), dtype=complex), 1e-12)
+    fresh = [
+        fresh_rogers_quadrature(q, 8, lambda xs, vals: np.stack([np.cos(xs), xs * xs], 1), 1e-12),
+        fresh_rogers_quadrature(q, 10, lambda xs, vals: vals.T, 1e-10),
+        ((-1j) ** np.arange(9) * coeffs) @ polyfam.eval_orthonormal_sequence(polyfam.rogers(q), 8, ys),
+    ]
+    for got in (cold, warm):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh]
+
+
+def reference_sum(first, ratio):
+    """Today's series: terms from first by term = ratio(term, n), n = 1, 2, ...,
+    summed until three consecutive terms fall below 1e-16, and not past 10,000 terms."""
+    total, term, n, small = 0.0, first, 0, 0
+    while small < 3:
+        if n == 10000:
+            raise ConvergenceError("no convergence within 10000 terms")
+        total = total + term
+        small = small + 1 if abs(term) < 1e-16 else 0
+        n += 1
+        term = ratio(term, n)
+    return total
+
+
+def reference_e_q_tilde(x, q):
+    return reference_sum(1.0, lambda t, n: t * x / (1.0 - q**n))
+
+
+def reference_e_q(x, q):
+    return reference_sum(1.0, lambda t, n: t * x * (1.0 - q) / (1.0 - q**n))
+
+
+def reference_e_q_gaussian(x, q):
+    return reference_sum(1.0, lambda t, n: t * x * (1.0 - q) / q * q ** (2 * n - 1) / (1.0 - q**n))
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_series_read_from_the_power_table_equal_the_pow_loop(q):
+    """Points that stop within the first table and points that grow it, from cleared and from warm caches."""
+    radius = 1.0 / (1.0 - q)
+    cases = [
+        (e_q_tilde, reference_e_q_tilde, [0.0, 0.3, -0.5, 0.2 + 0.6j, 0.99, -0.995j]),
+        (e_q, reference_e_q, [0.0, 0.3 * radius, -0.6 * radius, (0.5 + 0.3j) * radius, 0.99 * radius]),
+        (e_q_gaussian, reference_e_q_gaussian, [0.0, 0.5, -3.0, 2.0 + 1.0j, 40.0]),
+    ]
+    for warm in (False, True):
+        for fn, reference, xs in cases:
+            for x in xs:
+                if not warm:
+                    clear_caches()
+                try:
+                    want = reference(x, q)
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError, match="within 10000 terms"):
+                        fn(x, q)
+                    continue
+                got = fn(x, q)
+                assert type(got) is type(want) and type(got) in (float, complex), (fn.__name__, x)
+                assert repr(got) == repr(want), (fn.__name__, x)
+
+
+def reference_coeffs(family, z, dim):
+    """Today's coefficient loop of bg_expansion, one closure call per coefficient."""
+    q = family.q.q
+
+    def next_coeff(n, prev):
+        if family.kind is polyfam.Family.ROGERS:
+            return prev * z / math.sqrt((1.0 - q ** (n + 1)) / (1.0 - q))
+        return prev * z * q**n * math.sqrt((1.0 - q) / (1.0 - q ** (n + 1)))
+
+    coeffs, total = [1.0 + 0.0j], 1.0
+    if dim is not None:
+        for n in range(dim - 1):
+            coeffs.append(next_coeff(n, coeffs[-1]))
+        return np.array(coeffs)
+    n = 0
+    while True:
+        nxt = next_coeff(n, coeffs[-1])
+        if n >= 3 and abs(nxt) ** 2 < 1e-26 * total:
+            return np.array(coeffs)
+        coeffs.append(nxt)
+        total += abs(nxt) ** 2
+        n += 1
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_coherent_coefficients_equal_the_closure_loop(q):
+    radius = coherent.rogers_radius(q)
+    cases = [(polyfam.rogers(q), z) for z in (0.0, 0.4 * radius, (0.6 - 0.7j) * radius, 0.98 * radius)]
+    cases += [(polyfam.discrete2(q), z) for z in (0.0, 1.5, -2.0 + 1.0j, 30.0)]
+    for family, z in cases:
+        for dim in (None, 1, 2, 40, 300):
+            clear_caches()
+            state = coherent.bg_expansion(family, z, dim)
+            raw = reference_coeffs(family, complex(z), dim)
+            assert state.dim == len(raw)
+            assert state.coefficients.tobytes() == (raw / math.sqrt(state.norm_sq_closed)).tobytes()
+            assert type(state.norm_sq_closed) is float
+
+
+def test_as_qparam_shares_one_qparam_per_value():
+    assert qcore.as_qparam(0.5) is qcore.as_qparam(np.float64(0.5))
+    assert qcore.as_qparam(0.5) == qcore.QParam(0.5)
+    for bad in (0.0, 1.0, math.nan, -0.5):
+        for _ in range(2):  # an invalid q is not cached: it raises every time
+            with pytest.raises(qcore.DomainError):
+                qcore.as_qparam(bad)
+
+
+def test_cached_arrays_are_read_only():
+    theta, weights = polyfam.rogers_theta_rule(0.5, 128)
+    xs, vals = polyfam._rogers_basis(0.5, 128, 6)
+    seen = []
+    polyfam.rogers_quadrature(0.5, 6, lambda x, v: seen.extend([x, v]) or v.T, 1e-10, "probe")
+    for arr in (theta, weights, xs, vals, *seen):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_power_table_is_shared_and_bounded():
+    q = 0.77
+    qcore._power_table_of.cache_clear()
+    table = qcore._power_table(q, 100)
+    assert len(table) == 128 and table is qcore._power_table(q, 3)
+    assert table == [q**s for s in range(128)]
+    longer = qcore._power_table(q, qcore._POWER_TABLE_MAX + 1)  # a list of its own, not kept
+    assert len(longer) == qcore._POWER_TABLE_MAX + 1
+    assert len(qcore._power_table_of(q)) == 128
+
+
+def test_every_cache_is_bounded():
+    caches = [obj for mod in MODULES for obj in vars(mod).values() if hasattr(obj, "cache_info")]
+    assert set(TABLE_CACHES) <= set(caches)
+    for cache in caches:
+        # a cache of a function without arguments holds one entry
+        assert cache.cache_info().maxsize is not None or not inspect.signature(cache).parameters, cache
+
+
+def test_threads_growing_one_power_table_append_each_power_once():
+    q = 0.999
+    qcore._power_table_of.cache_clear()
+    errors = []
+
+    def grow(n):
+        try:
+            for size in range(64, n + 1, 64):
+                table = qcore._power_table(q, size)
+                assert len(table) >= size and table[size - 1] == q ** (size - 1)
+        except Exception as exc:  # reported below: an assertion in a thread does not fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(4096 + 512 * i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert qcore._power_table_of(q) == [q**s for s in range(8192)]

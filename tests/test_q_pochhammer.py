@@ -105,6 +105,30 @@ def test_scalars_equal_the_factor_loop_bit_for_bit(q):
             check_case(a, q, k)
 
 
+#: orders on both sides of each doubling of a power table (64, 128, ..., 4096 entries)
+TABLE_K_GRID = [0, 1, 2, *(m + d for m in (2**e for e in range(6, 13)) for d in (-1, 0, 1)), 5000, math.inf]
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+def test_scalars_read_from_the_power_table_equal_the_factor_loop(q):
+    """Each order grows the table of q from empty, then is taken again from the table grown past it."""
+    for a in (0.7, -1.3, 0.4 - 0.9j, complex(-0.0, 2.0)):
+        for k in TABLE_K_GRID:
+            qcore._power_table_of.cache_clear()
+            want = reference_pochhammer(a, q, k)
+            assert_same(q_pochhammer(a, q, k), want)
+            qcore._power_table(q, 8192)
+            assert_same(q_pochhammer(a, q, k), want)
+
+
+def test_a_product_longer_than_the_power_table_equals_the_factor_loop():
+    q = 0.9995  # about 80,000 factors, past the table's 2**15 entries
+    assert qcore._terms_above_cutoff(q, 0.5) > qcore._POWER_TABLE_MAX
+    for a in (0.5, 0.3 - 0.4j):
+        assert_same(q_pochhammer(a, q, math.inf), reference_pochhammer(a, q, math.inf))
+    assert len(qcore._power_table_of(q)) == qcore._POWER_TABLE_MAX
+
+
 def test_theta_rule_equals_the_factor_loop_build():
     for q in (0.1, 0.5, 0.9):
         for n_nodes in (128, 256, 2048):

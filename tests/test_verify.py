@@ -3,12 +3,13 @@ against the pointwise loops they replace."""
 
 import cmath
 import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qhermite import DomainError, coherent, polyfam, qdiff_residual_rogers, verify
+from qhermite import DomainError, cli, coherent, polyfam, qdiff_residual_rogers, verify
 from qhermite.qcore import q_number, q_pochhammer
 
 
@@ -147,3 +148,25 @@ def test_run_suites_passes_each_suite_the_arguments_its_signature_names(monkeypa
 def test_run_suites_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(DomainError, match="must be positive"):
         verify.run_suites("radius", tol=tol)
+
+
+def test_run_suites_rejects_a_keyword_that_no_suite_reads():
+    with pytest.raises(TypeError, match=r"no suite reads: seeed$"):
+        verify.run_suites("all", seeed=7)
+    with pytest.raises(TypeError, match=r"no suite reads: famly, seeed$"):
+        verify.run_suites("radius", seeed=None, famly="rogers", q=0.5)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+def test_jackson_suite_passes_at_each_q(q):
+    (check,) = verify.suite_jackson(q=q).checks
+    assert check.name == f"Jackson moment identity q={q}, n<=15"
+    assert check.passed and check.bound == 1e-8
+
+
+def test_jackson_suite_runs_at_the_default_q_like_the_cli(capsys):
+    (report,) = verify.run_suites("jackson")
+    assert [c.name for c in report.checks] == ["Jackson moment identity q=0.5, n<=15"]
+    assert cli.main(["verify", "--suite", "jackson", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["check"], r["measured"]) for r in rows] == [(c.name, c.measured) for c in report.checks]
