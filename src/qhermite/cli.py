@@ -314,6 +314,9 @@ def run(cfg: RunConfig) -> int:
     except (QHermiteError, ValueError, KeyError) as exc:
         print(f"qhermite: configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"qhermite: request too large: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     try:
         emit(meta, rows, cfg)
     except OSError as exc:

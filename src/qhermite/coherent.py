@@ -9,6 +9,7 @@ of the resolution of unity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,6 +27,7 @@ from .errors import (
 from .polyfam import Family, FamilyDescriptor
 from .qcore import (
     _MAX_TERMS,
+    _POWER_TABLE_MAX,
     QParam,
     _power_table,
     as_qparam,
@@ -74,28 +76,32 @@ def rogers_radius(q: QParam | float) -> float:
     return 1.0 / math.sqrt(1.0 - as_qparam(q).q)
 
 
+@functools.lru_cache(maxsize=8)  # per (q, family, size); one verify-all run uses 2
+def _step_factors(q: float, rogers: bool, n: int) -> tuple[list[float], tuple[float, ...]]:
+    """(p, r): _power_table(q, n) and the factors r[m] of c_{m+1}/c_m for m < len(p) - 1."""
+    p = _power_table(q, n)
+    return p, tuple(math.sqrt((1.0 - pm) / (1.0 - q)) if rogers else math.sqrt((1.0 - q) / (1.0 - pm)) for pm in p[1:])
+
+
 def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None) -> np.ndarray:
     """c_0 = 1, c_1, ... by the ratio c_{n+1}/c_n of the family: dim of them, or
     with dim=None until the next would satisfy |c|^2 < _TAIL_SQ times the running sum."""
     q = family.q.q
     rogers = family.kind is Family.ROGERS
-    p = _power_table(q)
+    p, r = _step_factors(q, rogers, 0)
     coeffs = [1.0 + 0.0j]
-    prev, total = coeffs[0], 1.0
+    c, total = coeffs[0], 1.0
     try:
         for n in range(_MAX_TERMS if dim is None else dim - 1):
-            if n + 1 == len(p):
-                p = _power_table(q, 2 * len(p))
-            if rogers:
-                nxt = prev * z / math.sqrt((1.0 - p[n + 1]) / (1.0 - q))  # 1/sqrt([n+1]_q)
-            else:
-                nxt = prev * z * p[n] * math.sqrt((1.0 - q) / (1.0 - p[n + 1]))
+            if n == len(r):  # past the power-table cap a longer table is built for this call alone
+                p, r = (_step_factors if n < _POWER_TABLE_MAX // 2 else _step_factors.__wrapped__)(q, rogers, 2 * n + 2)
+            c = c * z / r[n] if rogers else c * z * p[n] * r[n]
             if dim is None:
-                if n >= 3 and abs(nxt) ** 2 < _TAIL_SQ * total:
+                size = abs(c) ** 2
+                if n >= 3 and size < _TAIL_SQ * total:
                     return np.array(coeffs)
-                total += abs(nxt) ** 2
-            coeffs.append(nxt)
-            prev = nxt
+                total += size
+            coeffs.append(c)
     except OverflowError:
         raise OverflowError(f"coherent state |c_n|^2 overflows double range at n = {n + 1}, |z| = {abs(z)!r}") from None
     if dim is None:
@@ -117,6 +123,8 @@ def bg_expansion(
     """
     z = complex(z)
     polyfam.orthonormal_laws(family.kind)  # rejects type-I, whose normalization series has radius zero
+    if dim is not None and dim < 1:
+        raise DimensionError(f"a coherent expansion needs dim >= 1, got {dim}")
     if not cmath.isfinite(z):
         raise DomainError(f"coherent states need a finite z, got {z!r}")
     q = family.q.q
@@ -279,6 +287,8 @@ def _resolution_moments(nmax: int, qp: QParam) -> list[float]:
 def resolution_moment_profile(nmax: int, q: QParam | float) -> list[tuple[float, float]]:
     """Moments 0..nmax next to their targets [n]_q!, from one Jackson pass."""
     qp = as_qparam(q)
+    if nmax < 0:
+        raise DomainError("nmax must be non-negative")
     return [(moment, q_factorial(n, qp)) for n, moment in enumerate(_resolution_moments(nmax, qp))]
 
 

@@ -319,14 +319,18 @@ def _pochhammer_ratio_series(
                 ratio = ratio * (-(qq**k))
             for a in numerators:
                 fa = 1.0 - a * qq**k
-                running[...] &= abs(fa) >= _ZERO_FACTOR_TOL
+                if isinstance(fa, np.ndarray) or abs(fa) < _ZERO_FACTOR_TOL:  # a scalar stays a Python number
+                    running[...] &= abs(fa) >= _ZERO_FACTOR_TOL
                 ratio = ratio * fa
             for b in denominators:
                 fb = 1.0 - b * qq**k
                 vanished = abs(fb) < _ZERO_FACTOR_TOL
-                if (vanished & running).any():
+                if (vanished & running).any() if isinstance(fb, np.ndarray) else vanished and running.any():
                     raise PoleError(f"denominator Pochhammer factor vanished at k = {k + 1}")
-                ratio = ratio / np.where(vanished, 1.0, fb)
+                if isinstance(fb, np.ndarray):
+                    ratio = ratio / np.where(vanished, 1.0, fb)
+                elif not (vanished or fb == 1.0 and isinstance(fb, float) and np.isrealobj(ratio)):
+                    ratio = ratio / fb  # a real ratio / 1.0 is itself; a complex one may lose a zero's sign
             term = np.where(running, term * ratio, 0.0)
 
     return _sum_series(array_terms(), "Pochhammer-ratio series", running)

@@ -258,7 +258,8 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
 
 
 def e_q_tilde(x: Scalar, q: QParam | float) -> Scalar:
-    """q-exponential sum_n x^n / (q;q)_n, convergent for |x| < 1."""
+    """q-exponential sum_n x^n / (q;q)_n, convergent for |x| < 1.  Known limit: near |x| = 1
+    the terms, about |x|^n / (q;q)_inf, can outlast _MAX_TERMS (q = 0.9, x = 0.995 or -0.995i)."""
     qq = as_qparam(q).q
     if abs(x) >= 1.0:
         raise DomainError(f"e_q_tilde requires |x| < 1, got |x| = {abs(x)}")

@@ -7,6 +7,7 @@ term-by-term through the basis, which is exact on polynomial densities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -60,7 +61,7 @@ def gft_apply(
     """Transform of f on a grid: sum_n (-i)^n <phi_n, f> phi_n(y).
 
     Exact up to quadrature error whenever f lies in the span of the first
-    n_terms basis polynomials.
+    n_terms basis polynomials.  The basis on recent output grids is cached.
     """
     qp = as_qparam(q)
     nmax = n_terms - 1
@@ -68,9 +69,24 @@ def gft_apply(
         qp, nmax, lambda xs, vals: np.asarray(f(xs), dtype=complex), 1e-12, "transform"
     )
     ys = np.asarray(y_grid, dtype=float)
-    vals = polyfam.eval_orthonormal_sequence(polyfam.rogers(qp), nmax, ys)
+    vals = (_grid_basis(qp.q, nmax, ys.tobytes(), ys.shape) if n_terms * ys.size <= _GRID_BASIS_MAX_ENTRIES
+            else polyfam.eval_orthonormal_sequence(polyfam.rogers(qp), nmax, ys))
     phases = (-1j) ** np.arange(n_terms)
     return (phases * coeffs) @ vals
+
+
+#: gft_apply caches the basis of 4 output grids (verify-all uses 2) of at most this many entries (1 MiB each)
+_GRID_BASIS_MAX_ENTRIES = 1 << 16
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_basis(qq: float, nmax: int, grid: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only Rogers basis of degree 0..nmax on the grid of these float bytes, cast to complex as
+    gft_apply's product would cast it, which changes no bit of the product."""
+    vals = polyfam.eval_orthonormal_sequence(polyfam.rogers(qq), nmax, np.frombuffer(grid).reshape(shape))
+    vals = vals.astype(complex)
+    vals.setflags(write=False)
+    return vals
 
 
 def gft_matrix(nmax: int, q: QParam | float) -> np.ndarray:

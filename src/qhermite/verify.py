@@ -8,6 +8,7 @@ reproducible; the seed is recorded by the caller.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -143,6 +144,8 @@ def suite_gram(q: float = 0.5, nmax: int = 10, lattice_scale: float = 1.0) -> Ve
 
 
 def suite_crosseval(q: float = 0.5, nmax: int = 12, seed: int = 1234) -> VerificationReport:
+    if nmax < 0:
+        raise DomainError("nmax must be non-negative")
     rng = np.random.default_rng(seed)
     fam_r = polyfam.rogers(q)
     fam_d2 = polyfam.discrete2(q)
@@ -363,12 +366,15 @@ SUITES = {
     "gft": suite_gft,
 }
 
+#: the signature of each suite function object, read once
+_signature = functools.lru_cache(maxsize=4 * len(SUITES))(inspect.signature)
+
 
 def run_suites(name: str, tol: float | None = None, **params) -> list[VerificationReport]:
     """Run one named suite, or every suite for name='all', passing each suite the non-None params
     its signature names.  A tol replaces every defect bound (Check.defect); other checks keep theirs.
     A param that no suite reads raises TypeError."""
-    unknown = set(params).difference(*(inspect.signature(fn).parameters for fn in SUITES.values()))
+    unknown = set(params).difference(*(_signature(fn).parameters for fn in SUITES.values()))
     if unknown:
         raise TypeError(f"run_suites() got keyword arguments that no suite reads: {', '.join(sorted(unknown))}")
     if tol is not None and not tol > 0:
@@ -377,7 +383,7 @@ def run_suites(name: str, tol: float | None = None, **params) -> list[Verificati
         as_qparam(params["q"])  # early validation of the q flag
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    reports = [fn(**{k: v for k, v in params.items() if v is not None and k in inspect.signature(fn).parameters})
+    reports = [fn(**{k: v for k, v in params.items() if v is not None and k in _signature(fn).parameters})
                for fn in (SUITES.values() if name == "all" else [SUITES[name]])]
     if tol is None:
         return reports

@@ -1,6 +1,6 @@
-"""The q-only tables the library caches: results with warm and with cleared
-caches, readers of the power table against today's arithmetic, read-only
-arrays and bounded caches."""
+"""The tables the library caches: results with warm and with cleared caches,
+readers of the power table against today's arithmetic, read-only arrays
+and bounded caches."""
 
 import inspect
 import math
@@ -16,8 +16,9 @@ from qhermite.qcore import e_q, e_q_gaussian, e_q_tilde
 
 MODULES = (qcore, polyfam, oscillator, coherent, transform, verify, cli)
 
-#: the caches of q-only tables
-TABLE_CACHES = (qcore._qparam, qcore._power_table_of, polyfam._theta_rule, polyfam._rogers_basis)
+#: the caches of tables: those of q alone, the transform's output-grid basis and the coherent step factors
+TABLE_CACHES = (qcore._qparam, qcore._power_table_of, polyfam._theta_rule, polyfam._rogers_basis,
+                transform._grid_basis, coherent._step_factors)
 
 Q_GRID = [0.05, 0.3, 0.5, 0.9, 0.99]
 
@@ -68,6 +69,54 @@ def test_quadrature_results_are_the_same_with_warm_and_cleared_caches(q):
     ]
     for got in (cold, warm):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh]
+
+
+def fresh_gft_apply(f, ys, q, n_terms):
+    """gft_apply with every table built afresh, the output-grid basis included."""
+    coeffs = fresh_rogers_quadrature(q, n_terms - 1, lambda xs, vals: np.asarray(f(xs), dtype=complex), 1e-12)
+    vals = polyfam.eval_orthonormal_sequence(polyfam.rogers(q), n_terms - 1, np.asarray(ys, dtype=float))
+    return ((-1j) ** np.arange(n_terms) * coeffs) @ vals
+
+
+#: (grid, n_terms): the suite's 2,049-point grid, the cap of 2^16 basis entries and one above
+#: it, a strided view, a scalar, and a 2-D grid (whose first axis must have n_terms points)
+GFT_GRIDS = [
+    (np.cos(np.linspace(0.0, math.pi, 2049)), 13),
+    (np.linspace(-1.0, 1.0, 4096), 16),
+    (np.linspace(-1.0, 1.0, 4097), 16),
+    (np.linspace(-1.0, 1.0, 99)[::2], 9),
+    (0.3, 9),
+    (np.linspace(-0.9, 0.9, 45).reshape(9, 5), 9),
+]
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_gft_apply_equals_a_cache_free_transform_cold_and_warm(q):
+    def f(xs):
+        return np.exp(xs) * np.cos(2.0 * xs)
+
+    for ys, n_terms in GFT_GRIDS:
+        want = fresh_gft_apply(f, ys, q, n_terms)
+        clear_caches()
+        cold = transform.gft_apply(f, ys, q, n_terms)
+        warm = transform.gft_apply(f, ys, q, n_terms)
+        cached = transform._grid_basis.cache_info().currsize
+        assert cached == (n_terms * np.size(ys) <= 1 << 16), (np.shape(ys), n_terms)
+        for got in (cold, warm):
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (np.shape(ys), n_terms)
+
+
+def test_gft_apply_basis_of_one_grid_is_read_only_and_complex():
+    ys = np.linspace(-1.0, 1.0, 33)
+    transform._grid_basis.cache_clear()
+    transform.gft_apply(np.exp, ys, 0.5, 9)
+    vals = transform._grid_basis(0.5, 8, ys.tobytes(), ys.shape)
+    assert transform._grid_basis.cache_info().hits == 1
+    assert vals.dtype == complex and vals.shape == (9, 33)
+    assert vals.tobytes() == polyfam.eval_orthonormal_sequence(polyfam.rogers(0.5), 8, ys).astype(complex).tobytes()
+    with pytest.raises(ValueError):
+        vals[0, 0] = 0.0
 
 
 def reference_sum(first, ratio):
@@ -152,12 +201,31 @@ def test_coherent_coefficients_equal_the_closure_loop(q):
     cases += [(polyfam.discrete2(q), z) for z in (0.0, 1.5, -2.0 + 1.0j, 30.0)]
     for family, z in cases:
         for dim in (None, 1, 2, 40, 300):
-            clear_caches()
-            state = coherent.bg_expansion(family, z, dim)
             raw = reference_coeffs(family, complex(z), dim)
-            assert state.dim == len(raw)
-            assert state.coefficients.tobytes() == (raw / math.sqrt(state.norm_sq_closed)).tobytes()
-            assert type(state.norm_sq_closed) is float
+            # cleared caches, warm ones, and step factors that outlast a cleared power table
+            for clear in (clear_caches, lambda: None, qcore._power_table_of.cache_clear):
+                clear()
+                state = coherent.bg_expansion(family, z, dim)
+                assert state.dim == len(raw)
+                assert state.coefficients.tobytes() == (raw / math.sqrt(state.norm_sq_closed)).tobytes()
+                assert type(state.norm_sq_closed) is float
+
+
+def test_step_factors_are_cached_up_to_the_power_table_cap():
+    dim = qcore._POWER_TABLE_MAX + 10
+    for family in (polyfam.discrete2(0.5), polyfam.rogers(0.5)):
+        clear_caches()
+        state = coherent.bg_expansion(family, 0.3, dim)
+        assert state.coefficients.tobytes() == (reference_coeffs(family, 0.3 + 0j, dim)
+                                                / math.sqrt(state.norm_sq_closed)).tobytes()
+        info = coherent._step_factors.cache_info()
+        assert info.misses == 10  # sizes 0, 128, 256, ..., 2^15; the 2^16 table is built for the call alone
+        rogers = family.kind is polyfam.Family.ROGERS
+        p, r = coherent._step_factors(0.5, rogers, qcore._POWER_TABLE_MAX)
+        assert coherent._step_factors.cache_info().hits == info.hits + 1  # the largest table kept
+        assert len(p) == qcore._POWER_TABLE_MAX and len(r) == len(p) - 1
+        steps = [1.0 - 0.5 ** (m + 1) for m in range(len(r))]
+        assert r == tuple(math.sqrt(s / 0.5) if rogers else math.sqrt(0.5 / s) for s in steps)
 
 
 def test_as_qparam_shares_one_qparam_per_value():

@@ -239,6 +239,37 @@ def test_negative_nmax_is_config_error(args, capsys):
     assert "configuration error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["table", "--kind=coherent", "--dim=0"], "a coherent expansion needs dim >= 1, got 0"),
+    (["coherent", "--family=discrete2", "--dim=-5"], "a coherent expansion needs dim >= 1, got -5"),
+    (["verify", "--suite=crosseval", "--nmax=-1"], "nmax must be non-negative"),
+    (["verify", "--suite=jackson", "--nmax=-1"], "nmax must be non-negative"),
+])
+def test_a_size_below_the_smallest_exits_2(args, message, capsys):
+    # the first three exited 0 before: a 1-term state, and three checks that measured nothing
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qhermite: configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 142. PiB for an array with shape (100000000, 100000000) and data type complex128",
+     "Unable to allocate 142. PiB for an array with shape (100000000, 100000000) and data type complex128"),
+    ("", "out of memory"),
+])
+@pytest.mark.parametrize("command", ["oscillator", "gft"])
+def test_memory_error_exits_2_without_a_traceback(command, message, shown, capsys, monkeypatch):
+    def too_large(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, command, (too_large, *cli._COMMANDS[command][1:]))
+    assert cli.main([command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qhermite: request too large: {shown}\n"
+
+
 @pytest.mark.parametrize("family,x", [("rogers", "nan"), ("discrete2", "inf"), ("discrete1", "nan")])
 def test_non_finite_x_is_config_error(family, x, capsys):
     status = cli.main(["eval", "--family", family, "--n", "3", f"--x={x}"])

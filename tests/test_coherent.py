@@ -95,6 +95,14 @@ def test_domain_and_family_errors():
                 bg_expansion(fam, z)
 
 
+@pytest.mark.parametrize("dim", [0, -5])
+@pytest.mark.parametrize("family", [rogers, discrete2])
+def test_dim_below_one_is_a_dimension_error(family, dim):
+    with pytest.raises(DimensionError, match=rf"^a coherent expansion needs dim >= 1, got {dim}$"):
+        bg_expansion(family(0.5), 0.5, dim)
+    assert bg_expansion(family(0.5), 0.5, 1).dim == 1
+
+
 def test_discrete2_abs_z_squared_overflow_names_the_quantity():
     with pytest.raises(OverflowError, match=r"^coherent state \|z\|\^2 overflows double range at \|z\| = 1e\+200$"):
         bg_expansion(discrete2(0.5), complex(1e200, 0.0))
@@ -245,6 +253,13 @@ def test_resolution_moment_profile_matches_direct():
 def test_moment_profile_equals_each_direct_integral_bit_for_bit(q):
     for n, (computed, _) in enumerate(resolution_moment_profile(15, q)):
         assert computed.hex() == resolution_moment_check(n, q)[0].hex(), n
+
+
+@pytest.mark.parametrize("nmax", [-1, -5])
+def test_moment_profile_rejects_a_negative_nmax(nmax):
+    with pytest.raises(DomainError, match="^nmax must be non-negative$"):
+        resolution_moment_profile(nmax, 0.5)
+    assert len(resolution_moment_profile(0, 0.5)) == 1
 
 
 def test_moment_recurrence_examples():

@@ -490,3 +490,51 @@ def test_discrete2_c_and_lambda_overflow_name_family_quantity_degree_and_q():
     assert math.isfinite(0.7 ** (-2 * 993)) and math.isfinite(0.7 ** (2 - 2 * 993))
     with pytest.raises(OverflowError, match=r"^discrete2 eigenvalue lambda_n .*degree n = 993, q = 0\.7$"):
         lam(993, 0.7)
+
+
+def _scalar_parameter_cases(q):
+    """(series, scalar parameters) for the array series: a plain sum, a
+    numerator that terminates it, a zero denominator (factor 1.0), a
+    numerator that ends it ahead of a pole, and a pole."""
+    return [
+        (phi_2_1, (0.3, -0.4, 0.2)),
+        (phi_2_1, (q**-3, 0.7, 0.0)),  # 4 terms
+        (phi_2_1, (q**-2, 0.5, q**-2)),  # ends at k = 2, where the pole would be
+        (phi_2_1, (0.3, 0.4, q**-2)),  # pole at k = 3
+        (polyfam.phi_1_1, (0.6, -0.2)),
+        (polyfam.phi_1_1, (q**-4, 0.0)),  # 5 terms
+        (polyfam.phi_1_1, (0.6, q**-1)),  # pole at k = 2
+    ]
+
+
+def _outcome(fn, *args):
+    """repr of each value (so a float and a complex differ), or the PoleError's message."""
+    try:
+        got = fn(*args)
+    except PoleError as exc:
+        return "PoleError: " + str(exc)
+    return [repr(v) for v in got.tolist()] if isinstance(got, np.ndarray) else repr(got)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_array_series_with_scalar_parameters_equals_per_element_scalar_calls(q):
+    zs = np.array([-0.9, -0.3, 0.0, 0.25, 0.8])
+    for fn, params in _scalar_parameter_cases(q):
+        want = [_outcome(fn, *params, q, float(z)) for z in zs]
+        poles = {w for w in want if w.startswith("PoleError")}
+        assert _outcome(fn, *params, q, zs) == (poles.pop() if poles else want), (fn.__name__, params)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_array_series_with_scalar_parameters_equals_full_array_parameters(q):
+    """A scalar parameter gives the bits of the same value as an array, for real and complex z."""
+    zs = np.array([-0.9, -0.3, 0.0, 0.25, 0.8])
+    for z in (zs, zs * (0.6 - 0.7j), np.array([-0.0 + 0.5j, 0.3 - 0.0j])):
+        for fn, params in _scalar_parameter_cases(q):
+            full = [np.full(z.shape, p) for p in params]
+            for i in range(len(params)):  # one parameter as an array, then all of them
+                mixed = list(params)
+                mixed[i] = full[i]
+                assert _outcome(fn, *mixed, q, z) == _outcome(fn, *params, q, z), (fn.__name__, params, i)
+            assert _outcome(fn, *full, q, z) == _outcome(fn, *params, q, z), (fn.__name__, params)
+

@@ -95,6 +95,15 @@ def test_e_q_tilde_trivial_and_domain():
         e_q_tilde(1.2j, 0.5)
 
 
+@pytest.mark.parametrize("x", [0.995, -0.995j])
+def test_e_q_tilde_known_failure_inside_its_domain(x):
+    """Known failure, pinned so that a fix to the stop rule shows: at q = 0.9
+    the terms fall like |x|^n / (q;q)_inf with (0.9;0.9)_inf = 1.3e-6 and stay
+    above 1e-16 past the 10,000-term cap, although |x| < 1."""
+    with pytest.raises(ConvergenceError, match=r"^e_q_tilde series: no convergence within 10000 terms"):
+        e_q_tilde(x, 0.9)
+
+
 def test_e_q_tilde_euler_product_oracle():
     # independent product loop for 1 / (x;q)_inf
     x, q = 0.25, 0.5

@@ -170,3 +170,20 @@ def test_jackson_suite_runs_at_the_default_q_like_the_cli(capsys):
     assert cli.main(["verify", "--suite", "jackson", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [(r["check"], r["measured"]) for r in rows] == [(c.name, c.measured) for c in report.checks]
+
+
+@pytest.mark.parametrize("name,suite", [("crosseval", verify.suite_crosseval), ("jackson", verify.suite_jackson)])
+def test_a_negative_nmax_is_a_domain_error(name, suite):
+    # crosseval measured nothing at nmax = -1 and passed; jackson took the max of no moments
+    for call in (lambda: suite(nmax=-1), lambda: verify.run_suites(name, nmax=-1)):
+        with pytest.raises(DomainError, match="^nmax must be non-negative$"):
+            call()
+    assert verify.run_suites(name, nmax=0)[0].overall
+
+
+def test_run_suites_reads_each_suite_signature_once():
+    verify._signature.cache_clear()
+    for _ in range(3):
+        verify.run_suites("radius", q=0.5)  # one lookup per suite for the keyword check, one for radius
+    info = verify._signature.cache_info()
+    assert info.misses == len(verify.SUITES) and info.hits == 3 * (len(verify.SUITES) + 1) - info.misses
