@@ -204,7 +204,7 @@ def _cmd_table(cfg: RunConfig) -> tuple[dict, list[dict], int]:
         span = 0.99 if cfg.family == "rogers" else 3.0
         xs = np.linspace(-span, span, 41)
         if cfg.family == "discrete1":
-            vals = [polyfam.discrete1_eval(n, xs, cfg.q) for n in range(nmax + 1)]
+            vals = polyfam.discrete1_eval(np.arange(nmax + 1)[:, None], xs, cfg.q)  # row n: degree n
         else:
             vals = polyfam.eval_orthonormal_sequence(fam, nmax, xs)
         rows = _rows({"x": xs} | {f"p{n}": vals[n] for n in range(nmax + 1)})

@@ -150,6 +150,15 @@ def bg_expansion(
     )
 
 
+@functools.lru_cache(maxsize=8)  # per (family, q, size); one verify-all run uses 4
+def _b_table(kind: Family, q: float, size: int) -> np.ndarray:
+    """b_0, ..., b_{size-1} of the family, read-only."""
+    b = polyfam.FAMILY_TABLE[kind].b
+    table = np.array([b(n, q) for n in range(size)])
+    table.setflags(write=False)
+    return table
+
+
 def eigen_residual(state: CoherentStateExpansion) -> float:
     """Relative defect of the defining eigen-equation a-|z> = z|z>.
 
@@ -161,7 +170,11 @@ def eigen_residual(state: CoherentStateExpansion) -> float:
     laws = polyfam.orthonormal_laws(state.family.kind)
     q = state.family.q.q
     c = state.coefficients
-    lowered = laws.gamma(q) * np.array([laws.b(n, q) for n in range(state.dim - 1)]) * c[1:]
+    try:  # from a table of the next power of two, at least 64
+        b = _b_table(state.family.kind, q, max(64, 1 << (state.dim - 2).bit_length()))[: state.dim - 1]
+    except OverflowError:  # past double range inside the table: only the b_n the state needs
+        b = np.array([laws.b(n, q) for n in range(state.dim - 1)])
+    lowered = laws.gamma(q) * b * c[1:]
     target = state.z * c[:-1]
     denom = float(np.linalg.norm(target))
     defect = float(np.linalg.norm(lowered - target))

@@ -191,11 +191,25 @@ def _orthonormal_coeffs(family: FamilyDescriptor, n: int) -> tuple[list[float], 
     return [0.0] + b[:-1], b
 
 
+def _monic_sequence(kind: Family, n: int, x, q: float) -> Iterator:
+    """Monic polynomials h_0, ..., h_n of a family at x (scalar, ndarray or Polynomial)."""
+    c = FAMILY_TABLE[kind].c
+    return _three_term(x, [c(m, q) for m in range(n)], [1.0] * n)
+
+
 def _monic(kind: Family, n: int, x, q: float):
     """Monic polynomial h_n of a family at x (scalar, ndarray or Polynomial)."""
-    c = FAMILY_TABLE[kind].c
-    *_, h = _three_term(x, [c(m, q) for m in range(n)], [1.0] * n)
+    *_, h = _monic_sequence(kind, n, x, q)
     return h
+
+
+def _degrees(n):
+    """n, or a degree array as int64; DomainError for a negative degree or a non-integer array dtype."""
+    if isinstance(n, np.ndarray) and n.dtype.kind not in "iu":
+        raise DomainError(f"a degree array must have an integer dtype, got {n.dtype}")
+    if np.any(n < 0) if isinstance(n, np.ndarray) else n < 0:
+        raise DomainError("degree must be non-negative")
+    return n.astype(np.int64) if isinstance(n, np.ndarray) else n
 
 
 def _require_finite(x, name: str = "x") -> None:
@@ -371,29 +385,33 @@ def phi_1_1(
     return _pochhammer_ratio_series((a,), (b,), as_qparam(q), z, extra_sign_gauss=True)
 
 
-def discrete1_eval(n: int, x, q: QParam | float):
+def discrete1_eval(n, x, q: QParam | float):
     """Type-I discrete q-Hermite polynomial of degree n.
 
     Evaluated as q^binom(n,2) * phi(q^{-n}, 1/x; 0 | q; -q x); the series
     carries 1/x yet sums to a degree-n polynomial, so the x = 0 value is
-    taken from the monic recurrence instead.  x may be an ndarray; the
-    result then has its shape.
+    taken from the monic recurrence instead.  x, and n, may be ndarrays (n
+    of integer dtype, one degree per element); the result then has their
+    broadcast shape, each element equal to its own scalar call.
     """
     qp = as_qparam(q)
-    if n < 0:
-        raise DomainError("degree must be non-negative")
+    n = _degrees(n)
     _require_finite(x)
     qq = qp.q
-    pref = qq ** (n * (n - 1) // 2)
-    if isinstance(x, np.ndarray):
-        out = np.full(x.shape, float(_monic(Family.DISCRETE_I, n, 0.0, qq)))
-        nz = x != 0.0
-        out[nz] = pref * phi_2_1(qq ** (-n), 1.0 / x[nz], 0.0, qp, -qq * x[nz])
+    if isinstance(n, np.ndarray) or isinstance(x, np.ndarray):
+        ns, xs = np.broadcast_arrays(n, x)
+        nz = xs != 0.0
+        out, at_zero = np.empty(xs.shape), ns[~nz]
+        # one recurrence pass at x = 0 up to the largest degree there
+        out[~nz] = np.array(list(_monic_sequence(Family.DISCRETE_I, int(at_zero.max(initial=0)), 0.0, qq)))[at_zero]
+        m = ns[nz]  # float_power is libm pow, as Python's q**k
+        pref, top = np.float_power(qq, m * (m - 1) // 2), np.float_power(qq, -m)
+        out[nz] = pref * phi_2_1(top, 1.0 / xs[nz], 0.0, qp, -qq * xs[nz])
         return out
     if x == 0.0:
         return float(_monic(Family.DISCRETE_I, n, 0.0, qq))
     val = phi_2_1(qq ** (-n), 1.0 / x, 0.0, qp, -qq * x)
-    return pref * float(val)
+    return qq ** (n * (n - 1) // 2) * float(val)
 
 
 def discrete1_polynomial(n: int, q: QParam | float) -> np.polynomial.Polynomial:
@@ -406,26 +424,27 @@ def discrete1_polynomial(n: int, q: QParam | float) -> np.polynomial.Polynomial:
     return x**0 * _monic(Family.DISCRETE_I, n, x, qp.q)  # x**0 lifts h_0 = 1.0 to a Polynomial
 
 
-def discrete2_eval_series(n: int, x, q: QParam | float):
+def discrete2_eval_series(n, x, q: QParam | float):
     """Type-II discrete q-Hermite polynomial of degree n from its
     terminating series x^n * phi(q^{-n}, q^{-n+1}; 0 | q^2; -q^2/x^2).
 
     Singular presentation only: the result is the same degree-n polynomial
     the recurrence produces.  x = 0 is rejected; use the recurrence there.
-    x may be an ndarray (every element nonzero); the result then has its
-    shape.
+    x (every element nonzero), and n, may be ndarrays (n of integer dtype,
+    one degree per element); the result then has their broadcast shape,
+    each element equal to its own scalar call.
     """
     qp = as_qparam(q)
-    if n < 0:
-        raise DomainError("degree must be non-negative")
+    n = _degrees(n)
     _require_finite(x)
-    array = isinstance(x, np.ndarray)
+    array = isinstance(x, np.ndarray) or isinstance(n, np.ndarray)
     if (np.any(x == 0.0) if array else x == 0.0):
         raise DomainError("series form of the type-II polynomial is singular at x = 0")
     qq = qp.q
     base = QParam(qq * qq)
-    val = phi_2_1(qq ** (-n), qq ** (-n + 1), 0.0, base, -(qq * qq) / (x * x))
     # float_power is libm pow, as Python's x**n; the ufunc power may differ by an ulp
+    pw = np.float_power if isinstance(n, np.ndarray) else pow
+    val = phi_2_1(pw(qq, -n), pw(qq, 1 - n), 0.0, base, -(qq * qq) / (x * x))
     return np.float_power(x, n) * val if array else x**n * float(val)
 
 
@@ -461,7 +480,7 @@ def weight_density(family: FamilyDescriptor, point: float) -> float:
     return 1.0 / prod.real
 
 
-#: theta rules kept per process; one verify-all run uses 6 (q, n_nodes) pairs
+#: theta rules, and Rogers densities, kept per process; one verify-all run uses 6 (and 4) (q, n_nodes) pairs
 _THETA_RULE_CACHE_SIZE = 8
 
 
@@ -476,17 +495,29 @@ def rogers_theta_rule(q: QParam | float, n_nodes: int) -> tuple[np.ndarray, np.n
     return _theta_rule(as_qparam(q).q, n_nodes)
 
 
+#: rogers_quadrature's first rung, which always refines to the second: its density and basis are the
+#: second rung's at the even nodes, byte for byte (the same thetas and the same density factor count)
+_FIRST_RUNG = 128
+
+
+@functools.lru_cache(maxsize=_THETA_RULE_CACHE_SIZE)
+def _rogers_density(qq: float, n_nodes: int) -> np.ndarray:
+    """|(e^{2i theta};q)_inf|^2 at the n_nodes + 1 trapezoid nodes theta, read-only."""
+    half = q_pochhammer(np.exp(2j * np.linspace(0.0, math.pi, n_nodes + 1)), qq, math.inf)
+    dens = (half * np.conj(half)).real.copy()  # the factor at conj(u2) is its conjugate, bit for bit
+    dens.setflags(write=False)
+    return dens
+
+
 @functools.lru_cache(maxsize=_THETA_RULE_CACHE_SIZE)
 def _theta_rule(qq: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     theta = np.linspace(0.0, math.pi, n_nodes + 1)
     step = math.pi / n_nodes
     w = np.full(n_nodes + 1, step)
     w[0] = w[-1] = 0.5 * step
-    u2 = np.exp(2j * theta)
-    half = q_pochhammer(u2, qq, math.inf)  # the factor at conj(u2) is its conjugate, bit for bit
-    dens = half * np.conj(half)
+    dens = _rogers_density(qq, 2 * n_nodes)[::2] if n_nodes == _FIRST_RUNG else _rogers_density(qq, n_nodes)
     mass = float(q_pochhammer(qq, qq, math.inf))
-    weights = w * mass / (2.0 * math.pi) * dens.real
+    weights = w * mass / (2.0 * math.pi) * dens
     theta.setflags(write=False)
     weights.setflags(write=False)
     return theta, weights
@@ -500,8 +531,11 @@ _ROGERS_BASIS_CACHE_SIZE = 16
 def _rogers_basis(qq: float, n_nodes: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(xs, vals): the nodes x = cos(theta) of the n_nodes theta rule and the
     orthonormal Rogers polynomials of degree 0..nmax there, both read-only."""
-    xs = np.cos(_theta_rule(qq, n_nodes)[0])
-    vals = eval_orthonormal_sequence(rogers(qq), nmax, xs)
+    if n_nodes == _FIRST_RUNG:  # contiguous copies, so that products take the same path as on a fresh table
+        xs, vals = (a[..., ::2].copy() for a in _rogers_basis(qq, 2 * n_nodes, nmax))
+    else:
+        xs = np.cos(_theta_rule(qq, n_nodes)[0])
+        vals = eval_orthonormal_sequence(rogers(qq), nmax, xs)
     xs.setflags(write=False)
     vals.setflags(write=False)
     return xs, vals
@@ -517,7 +551,7 @@ def rogers_quadrature(q: QParam | float, nmax: int, rhs: Callable[[np.ndarray, n
     tol relative to its size; QuadratureError names `what` otherwise.
     """
     qp = as_qparam(q)
-    n_nodes = 128
+    n_nodes = _FIRST_RUNG
     prev = None
     while n_nodes <= 1 << 15:
         _, w = rogers_theta_rule(qp, n_nodes)

@@ -71,8 +71,9 @@ def gft_apply(
     ys = np.asarray(y_grid, dtype=float)
     vals = (_grid_basis(qp.q, nmax, ys.tobytes(), ys.shape) if n_terms * ys.size <= _GRID_BASIS_MAX_ENTRIES
             else polyfam.eval_orthonormal_sequence(polyfam.rogers(qp), nmax, ys))
-    phases = (-1j) ** np.arange(n_terms)
-    return (phases * coeffs) @ vals
+    weighted = (-1j) ** np.arange(n_terms) * coeffs
+    # a grid of two or more axes is contracted as its flat point list; 0-d and 1-D keep the plain product's bits
+    return weighted @ vals if ys.ndim < 2 else (weighted @ vals.reshape(n_terms, -1)).reshape(ys.shape)
 
 
 #: gft_apply caches the basis of 4 output grids (verify-all uses 2) of at most this many entries (1 MiB each)

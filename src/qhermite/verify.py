@@ -66,7 +66,8 @@ def suite_qcore(q: float = 0.5, seed: int = 1234) -> VerificationReport:
         prod = 1.0
         for n in range(1, 31):
             prod *= q_number(n, qq)
-            worst = max(worst, abs(prod - q_factorial(n, qq)) / q_factorial(n, qq))
+            fac = q_factorial(n, qq)
+            worst = max(worst, abs(prod - fac) / fac)
     checks.append(_below("q-factorial equals running q-number product (n<=30)", worst, 1e-12))
 
     worst = 0.0
@@ -79,8 +80,8 @@ def suite_qcore(q: float = 0.5, seed: int = 1234) -> VerificationReport:
 
     worst = 0.0
     for _ in range(50):
-        cu = rng.uniform(-1, 1, 4)
-        cv = rng.uniform(-1, 1, 4)
+        cu = rng.uniform(-1, 1, 4).tolist()  # Python floats: the same values, without numpy scalar arithmetic
+        cv = rng.uniform(-1, 1, 4).tolist()
         x = float(rng.uniform(0.2, 1.5))
         u = lambda t, c=cu: sum(ci * t**i for i, ci in enumerate(c))
         v = lambda t, c=cv: sum(ci * t**i for i, ci in enumerate(c))
@@ -147,27 +148,28 @@ def suite_crosseval(q: float = 0.5, nmax: int = 12, seed: int = 1234) -> Verific
     if nmax < 0:
         raise DomainError("nmax must be non-negative")
     rng = np.random.default_rng(seed)
-    fam_r = polyfam.rogers(q)
-    fam_d2 = polyfam.discrete2(q)
-    worst_r = worst_d2 = worst_d1 = 0.0
-    for n in range(nmax + 1):
-        poch_n = q_pochhammer(q, q, n)
-        # the trig-sum and series sides are the independent path to each recurrence
-        xs = rng.uniform(-0.99, 0.99, 50)
-        recs = polyfam.eval_orthonormal_sequence(fam_r, n, xs)[-1] * math.sqrt(poch_n)
-        # math.acos per point: np.arccos can differ from it in the last bit
-        trig = polyfam.rogers_trig_eval(n, np.array([math.acos(x) for x in xs]), q)
-        worst_r = max(worst_r, float(np.max(np.abs(trig - recs) / np.maximum(1.0, np.abs(trig)))))
-        xs = rng.uniform(0.4, 2.5, 50) * rng.choice([-1.0, 1.0], 50)
-        recs = polyfam.eval_orthonormal_sequence(fam_d2, n, xs)[-1] * math.sqrt(poch_n) * q ** (-n * n / 2.0)
-        ser = polyfam.discrete2_eval_series(n, xs, q)
-        scale = np.maximum(np.maximum(1.0, np.abs(ser)), np.abs(recs))
-        worst_d2 = max(worst_d2, float(np.max(np.abs(ser - recs) / scale)))
-        # the series loses digits to cancellation right at the origin, hence the gap
-        xs = rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50)
-        recs = polyfam._monic(polyfam.Family.DISCRETE_I, n, xs, q)
-        ser = polyfam.discrete1_eval(n, xs, q)
-        worst_d1 = max(worst_d1, float(np.max(np.abs(ser - recs) / np.maximum(1.0, np.abs(ser)))))
+    # per degree: Rogers, type-II and type-I samples, drawn in that order; the type-I samples keep a gap
+    # at the origin, where the series loses digits to cancellation
+    draws = [(rng.uniform(-0.99, 0.99, 50), rng.uniform(0.4, 2.5, 50) * rng.choice([-1.0, 1.0], 50),
+              rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50)) for _ in range(nmax + 1)]
+    xs_r, xs_d2, xs_d1 = map(np.array, zip(*draws))
+    # row n of each block is degree n: one recurrence pass and one series call per family
+    deg, diag = np.arange(nmax + 1)[:, None], (np.arange(nmax + 1),) * 2
+    root_poch = np.array([math.sqrt(q_pochhammer(q, q, n)) for n in range(nmax + 1)])[:, None]
+    recs = polyfam.eval_orthonormal_sequence(polyfam.rogers(q), nmax, xs_r)[diag] * root_poch
+    # the trig sum is the independent path; math.acos per point, as np.arccos can differ in the last bit
+    trig = np.array([polyfam.rogers_trig_eval(n, np.array(list(map(math.acos, xs))), q) for n, xs in enumerate(xs_r)])
+    rel_r = np.abs(trig - recs) / np.maximum(1.0, np.abs(trig))
+    recs = (polyfam.eval_orthonormal_sequence(polyfam.discrete2(q), nmax, xs_d2)[diag] * root_poch
+            * np.array([q ** (-n * n / 2.0) for n in range(nmax + 1)])[:, None])
+    ser = polyfam.discrete2_eval_series(deg, xs_d2, q)
+    rel_d2 = np.abs(ser - recs) / np.maximum(np.maximum(1.0, np.abs(ser)), np.abs(recs))
+    recs = np.array([np.broadcast_to(h, xs_d1.shape)
+                     for h in polyfam._monic_sequence(polyfam.Family.DISCRETE_I, nmax, xs_d1, q)])[diag]
+    ser = polyfam.discrete1_eval(deg, xs_d1, q)
+    rel_d1 = np.abs(ser - recs) / np.maximum(1.0, np.abs(ser))
+    # from 0.0, row by row, as a running max(worst, row max) takes it
+    worst_r, worst_d2, worst_d1 = (max(0.0, *np.max(rel, axis=1).tolist()) for rel in (rel_r, rel_d2, rel_d1))
     return VerificationReport(
         "crosseval",
         (

@@ -16,9 +16,10 @@ from qhermite.qcore import e_q, e_q_gaussian, e_q_tilde
 
 MODULES = (qcore, polyfam, oscillator, coherent, transform, verify, cli)
 
-#: the caches of tables: those of q alone, the transform's output-grid basis and the coherent step factors
-TABLE_CACHES = (qcore._qparam, qcore._power_table_of, polyfam._theta_rule, polyfam._rogers_basis,
-                transform._grid_basis, coherent._step_factors)
+#: the caches of tables: those of q alone, the transform's output-grid basis, the coherent step factors
+#: and the b_n of eigen_residual
+TABLE_CACHES = (qcore._qparam, qcore._power_table_of, polyfam._rogers_density, polyfam._theta_rule,
+                polyfam._rogers_basis, transform._grid_basis, coherent._step_factors, coherent._b_table)
 
 Q_GRID = [0.05, 0.3, 0.5, 0.9, 0.99]
 
@@ -28,13 +29,25 @@ def clear_caches():
         cache.cache_clear()
 
 
+def fresh_theta_rule(q, n_nodes):
+    """The theta rule of n_nodes built from its own nodes alone, without a cache."""
+    theta = np.linspace(0.0, math.pi, n_nodes + 1)
+    step = math.pi / n_nodes
+    w = np.full(n_nodes + 1, step)
+    w[0] = w[-1] = 0.5 * step
+    half = qcore.q_pochhammer(np.exp(2j * theta), q, math.inf)
+    dens = half * np.conj(half)
+    mass = float(qcore.q_pochhammer(q, q, math.inf))
+    return theta, w * mass / (2.0 * math.pi) * dens.real
+
+
 def fresh_rogers_quadrature(q, nmax, rhs, tol):
     """rogers_quadrature with every table built afresh: the theta rule, its
     nodes and the basis values."""
     fam = polyfam.rogers(q)
     n_nodes, prev = 128, None
     while True:
-        theta, w = polyfam._theta_rule.__wrapped__(q, n_nodes)
+        theta, w = fresh_theta_rule(q, n_nodes)
         xs = np.cos(theta)
         vals = polyfam.eval_orthonormal_sequence(fam, nmax, xs)
         result = (vals * w) @ rhs(xs, vals)
@@ -72,14 +85,18 @@ def test_quadrature_results_are_the_same_with_warm_and_cleared_caches(q):
 
 
 def fresh_gft_apply(f, ys, q, n_terms):
-    """gft_apply with every table built afresh, the output-grid basis included."""
+    """gft_apply with every table built afresh, the output-grid basis included; a grid of
+    two or more axes is transformed as its flat point list."""
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim > 1:
+        return fresh_gft_apply(f, ys.ravel(), q, n_terms).reshape(ys.shape)
     coeffs = fresh_rogers_quadrature(q, n_terms - 1, lambda xs, vals: np.asarray(f(xs), dtype=complex), 1e-12)
-    vals = polyfam.eval_orthonormal_sequence(polyfam.rogers(q), n_terms - 1, np.asarray(ys, dtype=float))
+    vals = polyfam.eval_orthonormal_sequence(polyfam.rogers(q), n_terms - 1, ys)
     return ((-1j) ** np.arange(n_terms) * coeffs) @ vals
 
 
 #: (grid, n_terms): the suite's 2,049-point grid, the cap of 2^16 basis entries and one above
-#: it, a strided view, a scalar, and a 2-D grid (whose first axis must have n_terms points)
+#: it, a strided view, a scalar, and a 2-D grid
 GFT_GRIDS = [
     (np.cos(np.linspace(0.0, math.pi, 2049)), 13),
     (np.linspace(-1.0, 1.0, 4096), 16),
@@ -105,6 +122,86 @@ def test_gft_apply_equals_a_cache_free_transform_cold_and_warm(q):
         for got in (cold, warm):
             assert type(got) is type(want) and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (np.shape(ys), n_terms)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9])
+def test_gft_apply_on_a_2d_grid_is_its_flat_grid_reshaped(q):
+    ys = np.linspace(-0.95, 0.95, 12)
+    flat = transform.gft_apply(np.exp, ys, q, 9)
+    for shape in ((3, 4), (4, 3), (2, 3, 2)):
+        got = transform.gft_apply(np.exp, ys.reshape(shape), q, 9)
+        assert got.shape == shape and got.tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize("q", Q_GRID + [0.995, 0.999])
+def test_first_rung_is_the_even_nodes_of_the_second_and_equals_a_cache_free_build(q):
+    """The 128-node rule and basis are read from the 256-node density and basis; near q = 1 the
+    weights are subnormal (0.995) or the density product overflows (0.999), and still every byte agrees."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_theta, want_w = fresh_theta_rule(q, 128)
+        want_vals = polyfam.eval_orthonormal_sequence(polyfam.rogers(q), 10, np.cos(want_theta))
+        for _ in ("cold", "warm"):
+            clear_caches()
+            for _ in range(2):
+                theta, w = polyfam.rogers_theta_rule(q, 128)
+                xs, vals = polyfam._rogers_basis(q, 128, 10)
+                assert theta.tobytes() == want_theta.tobytes() and w.tobytes() == want_w.tobytes()
+                assert xs.tobytes() == np.cos(want_theta).tobytes() and vals.tobytes() == want_vals.tobytes()
+                assert theta.flags.c_contiguous and vals.flags.c_contiguous
+                for arr in (theta, w, xs, vals):
+                    assert not arr.flags.writeable
+            for n_nodes in (256, 512):
+                assert [a.tobytes() for a in polyfam.rogers_theta_rule(q, n_nodes)] == \
+                    [a.tobytes() for a in fresh_theta_rule(q, n_nodes)]
+    # the first rung built the second rung's density, which the second rung then read
+    assert polyfam._rogers_density.cache_info().misses == 2
+    with pytest.raises(ValueError):
+        polyfam._rogers_density(q, 256)[0] = 0.0
+
+
+def reference_eigen_residual(state):
+    """Today's eigen_residual, with the b_n rebuilt on each call."""
+    laws = polyfam.orthonormal_laws(state.family.kind)
+    q = state.family.q.q
+    c = state.coefficients
+    lowered = laws.gamma(q) * np.array([laws.b(n, q) for n in range(state.dim - 1)]) * c[1:]
+    target = state.z * c[:-1]
+    denom = float(np.linalg.norm(target))
+    defect = float(np.linalg.norm(lowered - target))
+    return defect if denom == 0.0 else defect / denom
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_eigen_residual_from_the_b_table_equals_the_rebuilt_b_n(q):
+    radius = coherent.rogers_radius(q)
+    states = [coherent.bg_expansion(polyfam.rogers(q), z, dim) for z in (0.3 * radius, 0.8j * radius)
+              for dim in (None, 3, 64, 65, 300)]
+    states += [coherent.bg_expansion(polyfam.discrete2(q), z, dim)
+               for z in (1.5, -2.0 + 1.0j) for dim in (None, 3, 129)]
+    for clear in (clear_caches, lambda: None):
+        clear()
+        for state in states:
+            assert repr(coherent.eigen_residual(state)) == repr(reference_eigen_residual(state))
+    table = coherent._b_table(polyfam.Family.ROGERS, q, 64)
+    assert table.tolist() == [polyfam.recurrence_coeff(polyfam.rogers(q), n) for n in range(64)]
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+
+
+def test_eigen_residual_past_the_b_n_overflow_raises_the_named_error():
+    # at q = 0.5 the discrete-II b_n leaves double range at n = 1024: a 1000-dimensional state reads
+    # the table of 1024 entries, and a 1100-dimensional one needs that of 2048, which overflows
+    message = "b_n overflows double range at degree n = 1024"
+    with pytest.raises(OverflowError, match=message):
+        coherent._b_table(polyfam.Family.DISCRETE_II, 0.5, 2048)
+    state = coherent.bg_expansion(polyfam.discrete2(0.5), 0.5, 1100)
+    with pytest.raises(OverflowError, match=message):
+        reference_eigen_residual(state)
+    for _ in range(2):
+        with pytest.raises(OverflowError, match=message):
+            coherent.eigen_residual(state)
+    small = coherent.bg_expansion(polyfam.discrete2(0.5), 0.5, 1000)
+    assert repr(coherent.eigen_residual(small)) == repr(reference_eigen_residual(small))
 
 
 def test_gft_apply_basis_of_one_grid_is_read_only_and_complex():

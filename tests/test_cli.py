@@ -223,6 +223,25 @@ def test_module_entrypoint_subprocess():
     assert json.loads(proc.stdout)["rows"][0]["value"] == 1.0
 
 
+def test_suites_and_table_commands_do_not_import_numpy_ma():
+    # numpy.ma adds about 1.7 MB to the resident set of a process that imports it
+    code = """if True:
+        import contextlib, io, sys
+        from qhermite import cli, verify
+        verify.run_suites("all")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for family in ("rogers", "discrete1", "discrete2"):
+                assert cli.main(["table", "--kind=polys", f"--family={family}", "--q=0.3"]) == 0
+            for family in ("rogers", "discrete2"):
+                assert cli.main(["table", "--kind=gram", f"--family={family}", "--q=0.7"]) == 0
+            assert cli.main(["gft", "--q=0.6"]) == 0
+        print("numpy.ma" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -449,6 +449,68 @@ def test_array_paths_reject_non_finite_elements(bad):
         discrete2_eval_series(4, xs, 0.5)
 
 
+# ---------------------------------------------------------------------------
+# degree arrays of the series evaluators
+# ---------------------------------------------------------------------------
+
+DEGREE_QS = [0.05, 0.3, 0.5, 0.9, 0.99]
+
+
+@pytest.mark.parametrize("q", DEGREE_QS)
+@pytest.mark.parametrize("fn", [discrete1_eval, discrete2_eval_series])
+def test_degree_column_against_a_row_of_points_equals_one_call_per_degree(fn, q):
+    # the CLI's polys table: x = 0 (type I only), and x = q, where the type-I numerator 1/x = q^-1 ends the series
+    xs = np.linspace(-3.0, 3.0, 41) if fn is discrete1_eval else np.linspace(-3.0, 3.0, 40)
+    xs = np.concatenate([xs, [q, -q, 1.0 / q]])
+    got = fn(np.arange(13)[:, None], xs, q)
+    assert got.shape == (13, xs.size) and got.dtype == np.float64
+    for n in range(13):
+        assert got[n].tobytes() == fn(n, xs, q).tobytes(), n
+
+
+@pytest.mark.parametrize("q", DEGREE_QS)
+@pytest.mark.parametrize("fn", [discrete1_eval, discrete2_eval_series])
+def test_degree_column_against_a_block_of_points_equals_one_call_per_degree(fn, q):
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(0.3, 2.5, (13, 50)) * rng.choice([-1.0, 1.0], (13, 50))
+    if fn is discrete1_eval:
+        xs[rng.random((13, 50)) < 0.1] = 0.0
+    got = fn(np.arange(13)[:, None], xs, q)
+    for n in range(13):
+        assert got[n].tobytes() == fn(n, xs[n], q).tobytes(), n
+
+
+@pytest.mark.parametrize("q", DEGREE_QS)
+def test_each_element_of_a_degree_array_equals_its_own_call(q):
+    """Mixed degrees in one call end their series at different terms; x = 0 takes each type-I
+    element's own monic value; a scalar x against a degree array gives the degrees' shape."""
+    rng = np.random.default_rng(3)
+    ns = rng.integers(0, 16, (4, 6))
+    xs = rng.uniform(0.3, 2.5, (4, 6)) * rng.choice([-1.0, 1.0], (4, 6))
+    xs[0, :3] = q  # 1/x = q^-1: the type-I series ends after two terms
+    zeros = xs.copy()
+    zeros[1] = 0.0
+    for fn, points in ((discrete1_eval, zeros), (discrete2_eval_series, xs)):
+        got = fn(ns, points, q)
+        for idx in np.ndindex(ns.shape):
+            assert got[idx].tobytes() == fn(int(ns[idx]), np.array([points[idx]]), q)[0].tobytes(), idx
+        scalar_x = fn(ns, 1.3, q)
+        assert scalar_x.shape == ns.shape
+        assert scalar_x.tobytes() == np.array([fn(int(n), np.array([1.3]), q)[0] for n in ns.ravel()]).tobytes()
+    at_zero = discrete1_eval(np.arange(16), 0.0, q)
+    assert at_zero.tobytes() == np.array([discrete1_eval(n, 0.0, q) for n in range(16)]).tobytes()
+    assert {type(discrete1_eval(n, 0.0, q)) for n in range(16)} == {float}  # a scalar degree keeps its float
+
+
+@pytest.mark.parametrize("bad", [np.array([1, -1]), np.array([1.0, 2.0]), np.array([True]), np.array(-3)])
+def test_a_negative_or_non_integer_degree_array_is_a_domain_error(bad):
+    for fn in (discrete1_eval, discrete2_eval_series):
+        with pytest.raises(DomainError):
+            fn(bad, np.array([0.5, 1.5]), 0.5)
+        with pytest.raises(DomainError):
+            fn(bad, 0.7, 0.5)
+
+
 def _two_product_theta_rule(qq, n_nodes):
     """The theta rule with (u2;q)_inf and (conj(u2);q)_inf built as two products."""
     theta = np.linspace(0.0, math.pi, n_nodes + 1)

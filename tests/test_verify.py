@@ -94,6 +94,38 @@ def test_crosseval_suite_same_inputs_and_values(seed):
     assert [c.measured for c in report.checks] == _crosseval_pointwise(0.5, 12, seed)
 
 
+def _crosseval_per_degree(q, nmax, seed):
+    """suite_crosseval's measured values with one evaluator call per degree and family."""
+    rng = np.random.default_rng(seed)
+    fam_r = polyfam.rogers(q)
+    fam_d2 = polyfam.discrete2(q)
+    worst_r = worst_d2 = worst_d1 = 0.0
+    for n in range(nmax + 1):
+        poch_n = q_pochhammer(q, q, n)
+        xs = rng.uniform(-0.99, 0.99, 50)
+        recs = polyfam.eval_orthonormal_sequence(fam_r, n, xs)[-1] * math.sqrt(poch_n)
+        trig = polyfam.rogers_trig_eval(n, np.array([math.acos(x) for x in xs]), q)
+        worst_r = max(worst_r, float(np.max(np.abs(trig - recs) / np.maximum(1.0, np.abs(trig)))))
+        xs = rng.uniform(0.4, 2.5, 50) * rng.choice([-1.0, 1.0], 50)
+        recs = polyfam.eval_orthonormal_sequence(fam_d2, n, xs)[-1] * math.sqrt(poch_n) * q ** (-n * n / 2.0)
+        ser = polyfam.discrete2_eval_series(n, xs, q)
+        scale = np.maximum(np.maximum(1.0, np.abs(ser)), np.abs(recs))
+        worst_d2 = max(worst_d2, float(np.max(np.abs(ser - recs) / scale)))
+        xs = rng.uniform(0.3, 1.2, 50) * rng.choice([-1.0, 1.0], 50)
+        recs = polyfam._monic(polyfam.Family.DISCRETE_I, n, xs, q)
+        ser = polyfam.discrete1_eval(n, xs, q)
+        worst_d1 = max(worst_d1, float(np.max(np.abs(ser - recs) / np.maximum(1.0, np.abs(ser)))))
+    return [worst_r, worst_d2, worst_d1]
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+@pytest.mark.parametrize("seed", [1234, 1, 2, 3])
+def test_crosseval_in_one_pass_per_family_equals_the_per_degree_loop(q, seed):
+    for nmax in (0, 12):
+        got = [c.measured for c in verify.suite_crosseval(q=q, nmax=nmax, seed=seed).checks]
+        assert list(map(repr, got)) == list(map(repr, _crosseval_per_degree(q, nmax, seed)))
+
+
 @pytest.mark.parametrize("seed", [1234, 1])
 def test_coherent_suite_passes_with_its_bounds(seed):
     report = verify.suite_coherent(q=0.5, seed=seed)
