@@ -270,14 +270,9 @@ def rogers_trig_eval(n: int, theta, q: QParam | float):
     total = 0.0 + 0.0j
     for k in range(n + 1):
         total += poch[n] / (poch[k] * poch[n - k]) * np.exp(1j * (n - 2 * k) * theta)
-    array = isinstance(theta, np.ndarray)
-    if array:
-        leak = bool(np.any(np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))))
-    else:
-        leak = abs(total.imag) > 1e-12 * max(1.0, abs(total.real))
-    if leak:
+    if np.any(np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))):
         raise ConvergenceError("trigonometric sum produced a non-vanishing imaginary part")
-    return total.real if array else float(total.real)
+    return total.real if isinstance(theta, np.ndarray) else float(total.real)
 
 
 def _pochhammer_ratio_series(
@@ -407,7 +402,7 @@ def discrete1_eval(n, x, q: QParam | float):
         m = ns[nz]  # float_power is libm pow, as Python's q**k
         pref, top = np.float_power(qq, m * (m - 1) // 2), np.float_power(qq, -m)
         out[nz] = pref * phi_2_1(top, 1.0 / xs[nz], 0.0, qp, -qq * xs[nz])
-        return out
+        return out[()]  # a 0-d result as a numpy scalar, as numpy arithmetic gives it
     if x == 0.0:
         return float(_monic(Family.DISCRETE_I, n, 0.0, qq))
     val = phi_2_1(qq ** (-n), 1.0 / x, 0.0, qp, -qq * x)
@@ -547,8 +542,8 @@ def rogers_quadrature(q: QParam | float, nmax: int, rhs: Callable[[np.ndarray, n
     the orthonormal polynomials of degree 0..nmax at the nodes xs.  Both
     come from a cache and are read-only.
 
-    The node count doubles from 128 until the result changes by less than
-    tol relative to its size; QuadratureError names `what` otherwise.
+    The node count doubles from 128 until the result changes by less than tol relative to its
+    size; QuadratureError names `what` otherwise, and at once on a rung whose result is not finite.
     """
     qp = as_qparam(q)
     n_nodes = _FIRST_RUNG
@@ -557,8 +552,11 @@ def rogers_quadrature(q: QParam | float, nmax: int, rhs: Callable[[np.ndarray, n
         _, w = rogers_theta_rule(qp, n_nodes)
         xs, vals = _rogers_basis(qp.q, n_nodes, nmax)
         result = (vals * w) @ rhs(xs, vals)
+        size = float(np.max(np.abs(result)))
+        if not math.isfinite(size):
+            raise QuadratureError(f"{what} quadrature is not finite at q={qp.q!r} on {n_nodes} nodes")
         change = float(np.max(np.abs(result - prev))) if prev is not None else math.inf
-        if change < tol * (1.0 + float(np.max(np.abs(result)))):
+        if change < tol * (1.0 + size):
             return result
         prev = result
         n_nodes *= 2

@@ -1,7 +1,8 @@
 """Foundational q-arithmetic.
 
-q-numbers, q-factorials, q-Pochhammer symbols, the q-exponential series,
-the q-derivative, and the Jackson q-integral, all for a deformation
+q-numbers, q-factorials, q-Pochhammer symbols, the q-exponentials (two
+as Euler products, one as a series), the q-derivative, and the Jackson
+q-integral, all for a deformation
 parameter 0 < q < 1.  Everything here is a pure function; all heavy users
 (polynomial families, oscillators, coherent states) sit on top of these.
 """
@@ -12,6 +13,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
@@ -76,6 +78,8 @@ _POCHHAMMER_MAX_SIZE = _POCHHAMMER_BLOCK_ENTRIES // (_POCHHAMMER_MIN_ROWS + 1)
 def _sum_series(terms: Iterable, what: str, running: np.ndarray | None = None):
     """Sum a term stream until three consecutive terms drop below _TERM_TOL.
 
+    Until the first term of at least _TERM_TOL, a small term above all
+    before it restarts the run, so tiny rising leading terms do not end it.
     Raises ConvergenceError if _MAX_TERMS is exhausted first.  For ndarray
     terms, pass `running`, a bool array of their shape shared with the term
     generator: the rule then applies to each element on its own, clearing
@@ -85,7 +89,7 @@ def _sum_series(terms: Iterable, what: str, running: np.ndarray | None = None):
     """
     total = 0.0
     if running is not None:
-        small_run = np.zeros(running.shape, dtype=int)
+        small_run, biggest, prelude = np.zeros(running.shape, dtype=int), np.zeros(running.shape), True
         for k, term in enumerate(terms):
             if k == 0:
                 total = np.zeros(running.shape, np.result_type(term, total))
@@ -96,16 +100,30 @@ def _sum_series(terms: Iterable, what: str, running: np.ndarray | None = None):
                 raise ConvergenceError(f"{what}: no convergence within {_MAX_TERMS} terms (entry {i}: last term "
                                        f"{term.flat[i].item()!r}, partial sum {total.flat[i].item()!r})")
             np.add(total, term, out=total, where=running)
+            size = np.abs(term)
             small_run += 1
-            small_run *= np.abs(term) < _TERM_TOL  # counts consecutive small terms, 0 after a large one
+            small_run *= size < _TERM_TOL  # counts consecutive small terms, 0 after a large one
+            if prelude:  # some element has had small terms only; no other can meet a small term above all before
+                np.copyto(small_run, 1, where=(size > biggest) & (size < _TERM_TOL))
+                np.maximum(biggest, size, out=biggest)
+                prelude = bool((biggest < _TERM_TOL).any())
             running &= small_run < _CONSECUTIVE_SMALL
             if not running.any():
                 break
         return total
-    small_run = 0
+    small_run, biggest = 0, 0.0
     max_terms, tol, needed = _MAX_TERMS, _TERM_TOL, _CONSECUTIVE_SMALL  # read once per call
     terms = iter(terms)
-    for term in itertools.islice(terms, max_terms):
+    capped = itertools.islice(terms, max_terms)
+    for term in capped:  # up to the first large term
+        total = total + term
+        if not abs(term) < tol:
+            break
+        small_run, biggest = (1, abs(term)) if abs(term) > biggest else (small_run + 1, biggest)
+        if small_run >= needed:
+            return total
+    small_run = 0
+    for term in capped:
         total = total + term
         if abs(term) < tol:
             small_run += 1
@@ -257,64 +275,49 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
     return prod
 
 
+def _euler_product(a: Scalar, qp: QParam, what: str, x: Scalar) -> Scalar:
+    """(a; q)_inf = 1 / what(x); OverflowError where it is subnormal (its digits lost,
+    from q ~ 0.9977 near the edge of the disc), 0 or not finite."""
+    prod = q_pochhammer(a, qp, math.inf)
+    if not sys.float_info.min <= abs(prod) < math.inf:
+        raise OverflowError(f"{what} Euler product leaves the normal double range at x = {x!r}, q = {qp.q!r}")
+    return prod
+
+
+def _e_q_product(x: Scalar, qp: QParam) -> Scalar:
+    """((1-q) x; q)_inf = 1 / e_q(x), for x inside e_q's disc |x| < 1/(1-q)."""
+    if abs(x) >= 1.0 / (1.0 - qp.q):
+        raise DomainError(f"e_q requires |x| < 1/(1-q) = {1.0 / (1.0 - qp.q)}, got |x| = {abs(x)}")
+    return _euler_product((1.0 - qp.q) * x, qp, "e_q", x)
+
+
 def e_q_tilde(x: Scalar, q: QParam | float) -> Scalar:
-    """q-exponential sum_n x^n / (q;q)_n, convergent for |x| < 1.  Known limit: near |x| = 1
-    the terms, about |x|^n / (q;q)_inf, can outlast _MAX_TERMS (q = 0.9, x = 0.995 or -0.995i)."""
-    qq = as_qparam(q).q
+    """q-exponential sum_n x^n / (q;q)_n for |x| < 1, as Euler's product 1 / (x; q)_inf."""
+    qp = as_qparam(q)
     if abs(x) >= 1.0:
         raise DomainError(f"e_q_tilde requires |x| < 1, got |x| = {abs(x)}")
-
-    def terms() -> Iterator[Scalar]:
-        term: Scalar = 1.0
-        yield term
-        p, lo = _power_table(qq), 1
-        while True:  # the powers a table holds, then its doubling
-            for n in range(lo, len(p)):
-                term = term * x / (1.0 - p[n])
-                yield term
-            p, lo = _power_table(qq, 2 * n + 2), n + 1
-
-    return _sum_series(terms(), "e_q_tilde series")
+    return 1.0 / _euler_product(x, qp, "e_q_tilde", x)
 
 
 def e_q(x: Scalar, q: QParam | float) -> Scalar:
-    """q-exponential sum_n x^n / [n]_q!, convergent for |x| < 1/(1-q).
-
-    Algebraically equal to e_q_tilde((1-q) x); evaluated by its own series
-    so the identity stays available as an independent cross-check.
-    """
-    qq = as_qparam(q).q
-    if abs(x) >= 1.0 / (1.0 - qq):
-        raise DomainError(f"e_q requires |x| < 1/(1-q) = {1.0 / (1.0 - qq)}, got |x| = {abs(x)}")
-
-    def terms() -> Iterator[Scalar]:
-        one_minus_q = 1.0 - qq
-        term: Scalar = 1.0
-        yield term
-        p, lo = _power_table(qq), 1
-        while True:  # the powers a table holds, then its doubling
-            for n in range(lo, len(p)):
-                term = term * x * one_minus_q / (1.0 - p[n])
-                yield term
-            p, lo = _power_table(qq, 2 * n + 2), n + 1
-
-    return _sum_series(terms(), "e_q series")
+    """q-exponential sum_n x^n / [n]_q! for |x| < 1/(1-q), as Euler's product 1 / ((1-q) x; q)_inf."""
+    return 1.0 / _e_q_product(x, as_qparam(q))
 
 
 def e_q_reciprocal(x: float, q: QParam | float) -> float:
-    """1 / e_q(x) on [0, 1/(1-q)], with the boundary value pinned to 0.
+    """1 / e_q(x) = ((1-q) x; q)_inf on [0, 1/(1-q)], with the boundary value pinned to 0.
 
     e_q diverges at the right endpoint of its domain, so its reciprocal
     extends continuously by 0 there; the Jackson-measure moment identities
-    need exactly that endpoint value.
+    need exactly that endpoint value.  The product is returned as it is.
     """
-    qq = as_qparam(q).q
-    radius = 1.0 / (1.0 - qq)
+    qp = as_qparam(q)
+    radius = 1.0 / (1.0 - qp.q)
     if x > radius:
         raise DomainError(f"e_q_reciprocal requires x <= 1/(1-q) = {radius}")
     if math.isclose(x, radius, rel_tol=1e-14):
         return 0.0
-    return 1.0 / e_q(x, qq)
+    return _e_q_product(x, qp)
 
 
 def e_q_gaussian(x: Scalar, q: QParam | float) -> Scalar:

@@ -230,12 +230,21 @@ def reference_sum(first, ratio):
     return total
 
 
+def reference_product(a, q):
+    """(a; q)_inf as the factor loop: 1 - a q**s in s order while |a| q**s >= 1e-18."""
+    prod, s = (1.0 + 0.0j if isinstance(a, complex) else 1.0), 0
+    while abs(a) * q**s >= 1e-18:
+        prod = prod * (1.0 - a * q**s)
+        s += 1
+    return prod
+
+
 def reference_e_q_tilde(x, q):
-    return reference_sum(1.0, lambda t, n: t * x / (1.0 - q**n))
+    return 1.0 / reference_product(x, q)
 
 
 def reference_e_q(x, q):
-    return reference_sum(1.0, lambda t, n: t * x * (1.0 - q) / (1.0 - q**n))
+    return 1.0 / reference_product((1.0 - q) * x, q)
 
 
 def reference_e_q_gaussian(x, q):
@@ -244,7 +253,8 @@ def reference_e_q_gaussian(x, q):
 
 @pytest.mark.parametrize("q", Q_GRID)
 def test_series_read_from_the_power_table_equal_the_pow_loop(q):
-    """Points that stop within the first table and points that grow it, from cleared and from warm caches."""
+    """e_q_gaussian's series and the Euler products of e_q_tilde and e_q, at points that stop within
+    the first table and points that grow it, from cleared and from warm caches."""
     radius = 1.0 / (1.0 - q)
     cases = [
         (e_q_tilde, reference_e_q_tilde, [0.0, 0.3, -0.5, 0.2 + 0.6j, 0.99, -0.995j]),

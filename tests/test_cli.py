@@ -357,6 +357,20 @@ def test_numerical_failures_are_reported_as_numerical_errors(args, message, caps
     assert "Traceback" not in captured.err
 
 
+def test_a_non_finite_rogers_quadrature_exits_2_at_once(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):  # the q = 0.999 density product overflows
+        assert cli.main(["table", "--kind=gram", "--family=rogers", "--q=0.999", "--nmax=10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qhermite: numerical error: Rogers Gram quadrature is not finite at q=0.999 on 128 nodes\n"
+
+
+@pytest.mark.parametrize("suite", ["jackson", "moments"])
+def test_moment_suites_pass_at_q_0_99(suite, capsys):
+    """At q = 0.99 e_q's power series needs more than 10,000 terms; Euler's product does not."""
+    assert cli.main(["verify", f"--suite={suite}", "--q=0.99"]) == 0
+
+
 @pytest.mark.parametrize("q", ["0.1", "0.5", "0.9"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_discrete1_polys_table_equals_pointwise_build(q, fmt, tmp_path):

@@ -13,6 +13,7 @@ from qhermite import (
     Family,
     PoleError,
     QParam,
+    QuadratureError,
     UnsupportedFamily,
     discrete1,
     discrete1_eval,
@@ -227,6 +228,14 @@ def test_rogers_gram_trivial_two_by_two():
     assert np.allclose(rep.matrix, np.eye(2), atol=1e-8)
 
 
+def test_rogers_quadrature_fails_fast_on_a_non_finite_rung():
+    """At q = 0.999 the density product overflows and every rung's result is non-finite; the
+    quadrature raises on the first rung instead of refining to 32,768 nodes (29 s)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match=r"^Rogers Gram quadrature is not finite at q=0\.999 on 128 nodes$"):
+            gram_matrix(rogers(0.999), 10)
+
+
 def test_discrete2_gram_normalized():
     rep = gram_matrix(discrete2(0.5, 1.0), 8)
     assert rep.max_offdiag < 1e-8
@@ -376,6 +385,19 @@ def test_array_evaluators_keep_shape_and_scalars_stay_float():
     for fn in (rogers_trig_eval, discrete2_eval_series, discrete1_eval):
         assert fn(4, xs, 0.5).shape == (2, 3)
         assert type(fn(4, 0.7, 0.5)) is float
+
+
+def test_a_0d_input_gives_a_numpy_scalar_as_numpy_arithmetic_does():
+    """A 0-d x, or a 0-d degree, gives a numpy.float64 equal to the scalar call."""
+    for fn in (rogers_trig_eval, discrete2_eval_series, discrete1_eval):
+        got = fn(4, np.array(0.7), 0.5)
+        assert type(got) is np.float64 and got == fn(4, 0.7, 0.5), fn.__name__
+    for fn in (discrete2_eval_series, discrete1_eval):
+        for n, x in ((np.array(4), 0.7), (np.array(4), np.array(0.7))):
+            got = fn(n, x, 0.5)
+            assert type(got) is np.float64 and got == fn(4, 0.7, 0.5), fn.__name__
+    got = discrete1_eval(np.array(3), 0.0, 0.5)  # the recurrence value at x = 0
+    assert type(got) is np.float64 and got == discrete1_eval(3, 0.0, 0.5)
 
 
 @pytest.mark.parametrize("n", range(9))

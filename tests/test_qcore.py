@@ -1,5 +1,7 @@
 """q-arithmetic: known values with independent oracles, plus identities."""
 
+import cmath
+import decimal
 import math
 
 import numpy as np
@@ -16,11 +18,13 @@ from qhermite import (
     e_q_reciprocal,
     e_q_tilde,
     jackson_integral,
+    phi_1_1,
     q_derivative,
     q_factorial,
     q_number,
     q_pochhammer,
     qcore,
+    resolution_moment_profile,
 )
 
 Q_GRID = (0.3, 0.5, 0.7, 0.9)
@@ -95,13 +99,28 @@ def test_e_q_tilde_trivial_and_domain():
         e_q_tilde(1.2j, 0.5)
 
 
+def decimal_e_q_tilde(x, q):
+    """sum_n x^n / (q;q)_n for a complex x, in 40-digit decimal arithmetic, up to the first
+    term past n = 100 below 1e-35 in modulus."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        xr, xi, qd = decimal.Decimal(x.real), decimal.Decimal(x.imag), decimal.Decimal(q)
+        tr, ti, sr, si, qn, n = decimal.Decimal(1), decimal.Decimal(0), 0, 0, decimal.Decimal(1), 0
+        while n < 100 or abs(tr) + abs(ti) > decimal.Decimal("1e-35"):
+            sr, si = sr + tr, si + ti
+            n += 1
+            qn *= qd
+            tr, ti = (tr * xr - ti * xi) / (1 - qn), (tr * xi + ti * xr) / (1 - qn)
+        return complex(sr, si)
+
+
 @pytest.mark.parametrize("x", [0.995, -0.995j])
-def test_e_q_tilde_known_failure_inside_its_domain(x):
-    """Known failure, pinned so that a fix to the stop rule shows: at q = 0.9
-    the terms fall like |x|^n / (q;q)_inf with (0.9;0.9)_inf = 1.3e-6 and stay
-    above 1e-16 past the 10,000-term cap, although |x| < 1."""
-    with pytest.raises(ConvergenceError, match=r"^e_q_tilde series: no convergence within 10000 terms"):
-        e_q_tilde(x, 0.9)
+def test_e_q_tilde_near_the_circle(x):
+    """At q = 0.9 the series terms fall like |x|^n / (q;q)_inf with (0.9;0.9)_inf = 1.3e-6, so the
+    power series would need more than 10,000 terms here; Euler's product has no such cap."""
+    got = e_q_tilde(x, 0.9)
+    want = decimal_e_q_tilde(complex(x), 0.9)
+    assert abs(got - want) <= 5e-15 * abs(want)
 
 
 def test_e_q_tilde_euler_product_oracle():
@@ -124,20 +143,67 @@ def test_e_q_matches_scaled_variant():
 
 
 def test_e_q_identity_random_points():
-    # random points avoid the far-left cancellation zone where |e_q| drops
-    # below the roundoff floor of its own terms (q=0.9 is the worst; it is
-    # covered on the cancellation-free positive ray)
+    """Euler's product 1/e_q(x) = ((1-q)x; q)_inf against his series, phi_1_1(0, 0; q, y) =
+    sum (-1)^n q^C(n,2) y^n / (q;q)_n with y = (1-q)x.  The points avoid the positive ray at
+    q = 0.9, where the series' alternating terms lose up to 1e-8; q = 0.9 is covered on
+    the negative ray, where they do not alternate."""
     rng = np.random.default_rng(7)
     for q in (0.3, 0.5, 0.7):
         radius = 1.0 / (1.0 - q)
         for _ in range(100):
             x = rng.uniform(0.0, 0.6) * radius * np.exp(2j * np.pi * rng.uniform())
-            lhs = e_q(complex(x), q)
-            rhs = e_q_tilde((1 - q) * complex(x), q)
+            lhs = 1.0 / e_q(complex(x), q)
+            rhs = phi_1_1(0.0, 0.0, q, (1 - q) * complex(x))
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-    for x in np.linspace(0.0, 0.9, 25) / (1.0 - 0.9):
-        lhs = e_q(float(x), 0.9)
-        assert abs(lhs - e_q_tilde(0.1 * float(x), 0.9)) <= 1e-12 * abs(lhs)
+    for x in np.linspace(0.0, -0.9, 25) / (1.0 - 0.9):
+        lhs = 1.0 / e_q(float(x), 0.9)
+        assert abs(lhs - phi_1_1(0.0, 0.0, 0.9, 0.1 * float(x))) <= 1e-12 * abs(lhs)
+
+
+def mp_pochhammer(a, q, powers):
+    """(a; q)_inf to 1e-20 relative, in mpmath at 30 digits: the factors 1 - a q^s for s < N,
+    the first N where |a| q^N <= 1/2 and the tail's |log|, at most 2 |a| q^N / (1 - q), is
+    below 1e-21.  powers holds q^s as mpf for s up to at least N."""
+    import mpmath
+
+    n = 0
+    while not (abs(a) * q**n <= 0.5 and 2 * abs(a) * q**n / (1 - q) < 1e-21):
+        n += 1
+    a = mpmath.mpmathify(a)
+    return mpmath.fprod(1 - a * p for p in powers[:n])
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+def test_q_exponentials_against_a_high_precision_product(q):
+    """e_q_tilde, e_q and e_q_reciprocal up to 0.99 of their radius, in four directions (e_q_reciprocal
+    on the real line), against the product in 30-digit arithmetic.  The product's rounding grows with
+    its factor count, about 1/(1-q); the worst relative errors measured on these points are 9.2e-16
+    (q = 0.5), 2.0e-15 (0.9), 2.9e-15 (0.95) and 2.1e-14 (0.99), under 1e-15 + 4e-16/(1-q)."""
+    mpmath = pytest.importorskip("mpmath")
+    bound = 1e-15 + 4e-16 / (1.0 - q)
+    radius = 1.0 / (1.0 - q)
+    with mpmath.workdps(30):
+        powers = [mpmath.mpf(q) ** s for s in range(int(math.log(1e-24) / math.log(q)) + 1)]
+        for frac in (0.5, 0.9, 0.99):
+            for u in (1.0, 1j, -1.0, cmath.exp(0.75j * math.pi)):
+                x = frac * u
+                want = 1 / mp_pochhammer(x, q, powers)
+                assert abs(e_q_tilde(x, q) - want) <= bound * abs(want), ("e_q_tilde", x)
+                x = frac * radius * u
+                want = 1 / mp_pochhammer((1.0 - q) * x, q, powers)
+                assert abs(e_q(x, q) - want) <= bound * abs(want), ("e_q", x)
+            for x in (frac * radius, -frac * radius):
+                want = mp_pochhammer((1.0 - q) * x, q, powers)
+                assert abs(e_q_reciprocal(x, q) - want) <= bound * abs(want), ("e_q_reciprocal", x)
+
+
+@pytest.mark.parametrize("fn,x", [(e_q, 999.0), (e_q, -999.0), (e_q_tilde, 0.999), (e_q_tilde, -0.999),
+                                  (e_q_reciprocal, 999.0), (e_q_reciprocal, -999.0)])
+def test_q_exponentials_raise_where_the_product_leaves_the_normal_range(fn, x):
+    """At q = 0.999 the product near the edge of the disc is about e^-822 (0 in double) on the
+    positive side and e^822 on the negative side: e_q or its reciprocal is out of range."""
+    with pytest.raises(OverflowError, match=r"Euler product leaves the normal double range at x = "):
+        fn(x, 0.999)
 
 
 def test_e_q_gaussian_examples(monkeypatch):
@@ -212,6 +278,67 @@ def test_array_jackson_integral_cap_names_the_entry_still_running(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"^Jackson integral lattice sum: no convergence within 10 terms "
                                                r"\(entry 1: last term [-+.e\d]+, partial sum [-+.e\d]+\)$"):
         jackson_integral(lambda x: np.array([0.0, 1.0]), 1.0, 0.9)
+
+
+def rising_tiny(x):
+    """10^(-100 x): on the lattice of [0, 1] at q = 0.5 the first three terms, 1e-100, 5e-51
+    and 2.5e-26, are tiny and rising, and the fourth, 3.9e-14, is not."""
+    return 10.0 ** (-100.0 * x)
+
+
+def lattice_sum(f, a, q, terms):
+    total = 0.0
+    for k in range(terms):
+        total = total + q**k * f(q**k * a)
+    return a * (1.0 - q) * total
+
+
+def test_jackson_sum_goes_past_tiny_rising_leading_terms():
+    want = lattice_sum(rising_tiny, 1.0, 0.5, 200)
+    assert want > 1e-3  # the three leading terms alone give 1.3e-26
+    assert jackson_integral(rising_tiny, 1.0, 0.5) == pytest.approx(want, rel=1e-15)
+    # each element on its own, bit for bit as alone: the rising ones sum on, the zero one stops,
+    # and one whose first term is large is summed as before
+    got = jackson_integral(lambda x: np.array([rising_tiny(x), 0.0, 2.0 * rising_tiny(x), x**0.5]), 1.0, 0.5)
+    assert got.tolist() == [jackson_integral(rising_tiny, 1.0, 0.5), 0.0,
+                            jackson_integral(lambda x: 2.0 * rising_tiny(x), 1.0, 0.5),
+                            jackson_integral(lambda x: x**0.5, 1.0, 0.5)]
+
+
+@pytest.mark.parametrize("zero", [0.0, np.zeros(2)])
+def test_jackson_sum_of_a_zero_integrand_stops_after_three_terms(zero):
+    calls = []
+    got = jackson_integral(lambda x: calls.append(x) or zero, 1.0, 0.5)
+    assert len(calls) == 3 and np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("array", [False, True])
+def test_tiny_terms_restart_the_run_only_before_the_first_large_term(array):
+    """A tiny term larger than every term before it restarts the run of small terms until the
+    first term of at least 1e-16; from there three small terms stop the sum, rising or not."""
+    def total(terms):
+        if array:
+            return qcore._sum_series((np.array([t]) for t in terms), "test", np.ones(1, bool))[0]
+        return qcore._sum_series(iter(terms), "test")
+
+    assert total([1e-30, 1e-20, 1e-18, 1.0, 0.0, 0.0, 0.0, 5.0]) == 1.0 + 1e-18 + 1e-20 + 1e-30
+    assert total([1e-30, 1e-40, 1e-50, 1.0]) == 1e-30 + 1e-40 + 1e-50  # falling: stops after three
+    assert total([1.0, 1e-30, 1e-20, 1e-18, 5.0]) == 1.0 + 1e-30 + 1e-20 + 1e-18
+
+
+@pytest.mark.parametrize("q", [0.99, 0.995])
+def test_resolution_moments_near_q_one(q):
+    """At q = 0.99 the integrand x^n / e_q(qx) starts near 1e-66 at the end of the lattice; a sum that
+    stopped after those three terms would return a defect of 1.0."""
+    profile = resolution_moment_profile(15, q)
+    assert max(abs(c - e) / e for c, e in profile) < 1e-8
+
+
+def test_resolution_moments_raise_where_the_lattice_weights_are_subnormal():
+    """At q = 0.998 the weights 1/e_q(qx) at the end of the lattice are subnormal and read 1.5e-323,
+    1.5e-323, 2e-323: three small terms that do not rise, which would give moments near 0."""
+    with pytest.raises(OverflowError, match=r"^e_q Euler product leaves the normal double range"):
+        resolution_moment_profile(15, 0.998)
 
 
 @given(
