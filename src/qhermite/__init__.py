@@ -16,7 +16,6 @@ from .coherent import (
     moment_recurrence_check,
     overlap,
     radius_estimate,
-    resolution_moment_check,
     resolution_moment_profile,
     rogers_radius,
 )
@@ -45,7 +44,6 @@ from .oscillator import (
     rogers_bn,
     source_for_family,
     spectrum,
-    user_bn,
 )
 from .polyfam import (
     Family,
@@ -62,12 +60,10 @@ from .polyfam import (
     gram_matrix,
     phi_1_1,
     phi_2_1,
-    phi_ratio_series,
     recurrence_coeff,
     rogers,
     rogers_theta_rule,
     rogers_trig_eval,
-    weight_density,
 )
 from .qcore import (
     QParam,
@@ -82,6 +78,6 @@ from .qcore import (
     q_number,
     q_pochhammer,
 )
-from .transform import KernelSpec, gft_apply, gft_matrix, mehler_closed_form_check, poisson_kernel
+from .transform import KernelSpec, gft_apply, gft_matrix, poisson_kernel
 
 __version__ = "0.1.0"

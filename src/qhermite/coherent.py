@@ -274,25 +274,11 @@ def radius_estimate(coeff_norms: Sequence[float]) -> RadiusReport:
     return RadiusReport(float(estimates[-1]), len(u), "ratio-aitken")
 
 
-def resolution_moment_check(n: int, q: QParam | float) -> tuple[float, float]:
-    """n-th moment of the resolution-of-unity measure vs its target [n]_q!.
-
-    The measure is a delta comb on the Jackson lattice, so the moment is the
-    Jackson integral of x^n / e_q(qx) over [0, 1/(1-q)]; moment equality for
-    all n is the full content of the completeness identity on polynomials.
-    """
-    qp = as_qparam(q)
-    if n < 0:
-        raise DomainError("moment order must be non-negative")
-    a = 1.0 / (1.0 - qp.q)
-    computed = jackson_integral(lambda x: e_q_reciprocal(qp.q * x, qp) * x**n, a, qp)
-    return computed, q_factorial(n, qp)
-
-
 def _resolution_moments(nmax: int, qp: QParam) -> list[float]:
-    """The moments I_0..I_nmax of resolution_moment_check from one Jackson
-    pass, each equal bit for bit to its own integral (np.float_power is
-    the pow of Python's x**n)."""
+    """The resolution-of-unity moments I_n, the Jackson integrals of
+    x^n / e_q(qx) over [0, 1/(1-q)], for n = 0..nmax from one Jackson pass,
+    each equal bit for bit to its own integral (np.float_power is the pow
+    of Python's x**n)."""
     orders, a = np.arange(nmax + 1.0), 1.0 / (1.0 - qp.q)
     return jackson_integral(lambda x: e_q_reciprocal(qp.q * x, qp) * np.float_power(x, orders), a, qp).tolist()
 

@@ -41,32 +41,18 @@ class Relation(enum.Enum):
 
 @dataclass(frozen=True)
 class BnSequence:
-    """Recurrence coefficients feeding the operator construction.
+    """Recurrence coefficients feeding the operator construction: b_n on
+    demand from the family's polyfam.FAMILY_TABLE row (b_{-1} is zero)."""
 
-    A family source computes b_n on demand from its polyfam.FAMILY_TABLE
-    row; family=None marks a user-supplied sequence, which carries an
-    explicit non-negative table (b_{-1} is implicitly zero).
-    """
-
-    family: Family | None
-    table: tuple[float, ...] = ()
+    family: Family
 
     def __post_init__(self) -> None:
-        if self.family is not None:
-            polyfam.orthonormal_laws(self.family)
-        elif not self.table:
-            raise DomainError("user-supplied sequence needs at least one coefficient")
-        elif any(v < 0 for v in self.table):
-            raise DomainError("recurrence coefficients must be non-negative")
+        if not isinstance(self.family, Family):
+            raise DomainError(f"a b_n sequence needs a Family, got {self.family!r}")
+        polyfam.orthonormal_laws(self.family)
 
     def coeff(self, n: int, q: QParam | float) -> float:
-        if n < 0:
-            return 0.0
-        if self.family is not None:
-            return polyfam.FAMILY_TABLE[self.family].b(n, as_qparam(q).q)
-        if n >= len(self.table):
-            raise DimensionError(f"user-supplied sequence has no b_{n}")
-        return self.table[n]
+        return polyfam.FAMILY_TABLE[self.family].b(n, as_qparam(q).q) if n >= 0 else 0.0
 
 
 def rogers_bn() -> BnSequence:
@@ -77,21 +63,13 @@ def discrete2_bn() -> BnSequence:
     return BnSequence(Family.DISCRETE_II)
 
 
-def user_bn(values: Sequence[float]) -> BnSequence:
-    return BnSequence(None, tuple(float(v) for v in values))
-
-
 def source_for_family(family: FamilyDescriptor) -> BnSequence:
     return BnSequence(family.kind)
 
 
 def ladder_prefactor(source: BnSequence, q: QParam | float) -> float:
-    """gamma with a+|n> = gamma b_n |n+1>; family-specific convention.
-
-    User-supplied sequences follow the Rogers convention gamma = 2/sqrt(1-q).
-    """
-    kind = Family.ROGERS if source.family is None else source.family
-    return polyfam.FAMILY_TABLE[kind].gamma(as_qparam(q).q)
+    """gamma with a+|n> = gamma b_n |n+1>; family-specific convention."""
+    return polyfam.FAMILY_TABLE[source.family].gamma(as_qparam(q).q)
 
 
 @dataclass(frozen=True)
@@ -179,10 +157,8 @@ def spectrum(source: BnSequence, q: QParam | float, nmax: int) -> list[float]:
     qp = as_qparam(q)
     if nmax < 0:
         raise DomainError("nmax must be non-negative")
-    if source.family is not None:
-        lam = polyfam.FAMILY_TABLE[source.family].lam
-        return [lam(n, qp.q) for n in range(nmax + 1)]
-    return _ladder_diagonal([source.coeff(n, qp) for n in range(nmax + 1)], ladder_prefactor(source, qp))
+    lam = polyfam.FAMILY_TABLE[source.family].lam
+    return [lam(n, qp.q) for n in range(nmax + 1)]
 
 
 def hamiltonian_form_ratio(source: BnSequence, q: QParam | float, dim: int) -> tuple[float, float]:

@@ -359,16 +359,6 @@ def phi_2_1(
     return _pochhammer_ratio_series((a, b), (c,), as_qparam(q), z)
 
 
-def phi_ratio_series(
-    a: Scalar,
-    b: Scalar,
-    q: QParam | float,
-    z: Scalar,
-) -> Scalar:
-    """sum_k (a;q)_k / (b;q)_k * z^k / (q;q)_k (no extra sign/Gauss factor)."""
-    return _pochhammer_ratio_series((a,), (b,), as_qparam(q), z)
-
-
 def phi_1_1(
     a: Scalar,
     b: Scalar,
@@ -449,32 +439,6 @@ def discrete2_eval_monic(n: int, x: Scalar, q: QParam | float) -> Scalar:
     return _monic(Family.DISCRETE_II, n, x, as_qparam(q).q)
 
 
-def weight_density(family: FamilyDescriptor, point: float) -> float:
-    """Orthogonality weight density at a point.
-
-    Rogers: (q;q)_inf/(2 pi) |(e^{2i theta};q)_inf|^2 / sqrt(1-x^2) on (-1,1).
-    Type II: 1 / ((ix;q)_inf (-ix;q)_inf); the conjugate factors multiply to
-    a real positive value, which is checked.
-    """
-    q = family.q.q
-    orthonormal_laws(family.kind)
-    if family.kind is Family.ROGERS:
-        if abs(point) >= 1.0:
-            raise DomainError("Rogers weight is supported on (-1, 1)")
-        theta = math.acos(point)
-        u2 = complex(math.cos(2 * theta), math.sin(2 * theta))
-        half = q_pochhammer(u2, q, math.inf)  # the factor at conj(u2) is its conjugate, bit for bit
-        prod = half * half.conjugate()
-        if abs(prod.imag) > 1e-12 * max(1.0, abs(prod.real)):
-            raise ConvergenceError("Rogers weight product has a non-vanishing imaginary part")
-        mass = q_pochhammer(q, q, math.inf)
-        return float(mass) / (2.0 * math.pi) * prod.real / math.sqrt(1.0 - point * point)
-    prod = q_pochhammer(1j * point, q, math.inf) * q_pochhammer(-1j * point, q, math.inf)
-    if abs(prod.imag) > 1e-12 * max(1.0, abs(prod.real)):
-        raise ConvergenceError("type-II weight product has a non-vanishing imaginary part")
-    return 1.0 / prod.real
-
-
 #: theta rules, and Rogers densities, kept per process; one verify-all run uses 6 (and 4) (q, n_nodes) pairs
 _THETA_RULE_CACHE_SIZE = 8
 
@@ -485,7 +449,9 @@ def rogers_theta_rule(q: QParam | float, n_nodes: int) -> tuple[np.ndarray, np.n
     Substituting x = cos(theta) cancels the 1/sqrt(1-x^2) singularity and
     leaves a smooth integrand on [0, pi]; returns (theta nodes, weights)
     where the weights already include the measure density in theta.
-    Recent rules are cached, so both arrays are read-only.
+    Recent rules are cached, so both arrays are read-only.  Near q = 1 the
+    density overflows; a rule whose weights are not finite raises
+    QuadratureError.
     """
     return _theta_rule(as_qparam(q).q, n_nodes)
 
@@ -510,9 +476,12 @@ def _theta_rule(qq: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     step = math.pi / n_nodes
     w = np.full(n_nodes + 1, step)
     w[0] = w[-1] = 0.5 * step
-    dens = _rogers_density(qq, 2 * n_nodes)[::2] if n_nodes == _FIRST_RUNG else _rogers_density(qq, n_nodes)
-    mass = float(q_pochhammer(qq, qq, math.inf))
-    weights = w * mass / (2.0 * math.pi) * dens
+    with np.errstate(over="ignore", invalid="ignore"):  # near q = 1 the density product overflows
+        dens = _rogers_density(qq, 2 * n_nodes)[::2] if n_nodes == _FIRST_RUNG else _rogers_density(qq, n_nodes)
+        mass = float(q_pochhammer(qq, qq, math.inf))
+        weights = w * mass / (2.0 * math.pi) * dens
+    if not np.isfinite(weights).all():
+        raise QuadratureError(f"Rogers theta rule is not finite at q={qq!r} on {n_nodes} nodes")
     theta.setflags(write=False)
     weights.setflags(write=False)
     return theta, weights

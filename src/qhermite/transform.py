@@ -8,15 +8,14 @@ term-by-term through the basis, which is exact on polynomial densities.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import polyfam
-from .errors import ConvergenceError, DomainError
-from .qcore import _MAX_TERMS, QParam, as_qparam, q_pochhammer
+from .errors import DomainError
+from .qcore import QParam, as_qparam
 
 
 @dataclass(frozen=True)
@@ -100,36 +99,3 @@ def gft_matrix(nmax: int, q: QParam | float) -> np.ndarray:
     gram = polyfam.gram_matrix(polyfam.rogers(qp), nmax).matrix
     phases = (-1j) ** np.arange(nmax + 1)
     return (gram * phases) @ gram
-
-
-def mehler_closed_form_check(
-    x: float,
-    y: float,
-    t: float,
-    q: QParam | float,
-) -> tuple[float, float]:
-    """Kernel series value at (x, y) next to its single-argument closed form.
-
-    The closed-form candidate depends on x only (through its theta), so it
-    can match the series only at equal arguments; this diagnostic returns
-    both values without asserting equality.
-    """
-    qp = as_qparam(q)
-    if not (0.0 <= t < 1.0):
-        raise DomainError("closed-form check is restricted to real t in [0, 1)")
-    n_terms = 64
-    prev = None
-    while n_terms <= _MAX_TERMS:
-        val = poisson_kernel(x, y, KernelSpec(qp, t, n_terms)).real
-        if prev is not None and abs(val - prev) < 1e-12 * (1.0 + abs(val)):
-            break
-        prev = val
-        n_terms *= 2
-    else:
-        raise ConvergenceError("kernel series did not settle under truncation doubling")
-    theta = math.acos(x)
-    u2 = complex(math.cos(2 * theta), math.sin(2 * theta))
-    half = q_pochhammer(t * u2, qp, math.inf)  # the factor at t conj(u2) is its conjugate
-    denom = half * half.conjugate() * q_pochhammer(t, qp, math.inf) ** 2
-    closed = q_pochhammer(t * t, qp, math.inf) / denom
-    return float(val), float(closed.real)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qhermite import cli, coherent, oscillator, polyfam, qcore, transform, verify
-from qhermite.errors import ConvergenceError
+from qhermite.errors import ConvergenceError, QuadratureError
 from qhermite.qcore import e_q, e_q_gaussian, e_q_tilde
 
 MODULES = (qcore, polyfam, oscillator, coherent, transform, verify, cli)
@@ -133,10 +133,10 @@ def test_gft_apply_on_a_2d_grid_is_its_flat_grid_reshaped(q):
         assert got.shape == shape and got.tobytes() == flat.tobytes()
 
 
-@pytest.mark.parametrize("q", Q_GRID + [0.995, 0.999])
+@pytest.mark.parametrize("q", Q_GRID + [0.995])
 def test_first_rung_is_the_even_nodes_of_the_second_and_equals_a_cache_free_build(q):
     """The 128-node rule and basis are read from the 256-node density and basis; near q = 1 the
-    weights are subnormal (0.995) or the density product overflows (0.999), and still every byte agrees."""
+    weights are subnormal (0.995), and still every byte agrees."""
     with np.errstate(over="ignore", invalid="ignore"):
         want_theta, want_w = fresh_theta_rule(q, 128)
         want_vals = polyfam.eval_orthonormal_sequence(polyfam.rogers(q), 10, np.cos(want_theta))
@@ -157,6 +157,17 @@ def test_first_rung_is_the_even_nodes_of_the_second_and_equals_a_cache_free_buil
     assert polyfam._rogers_density.cache_info().misses == 2
     with pytest.raises(ValueError):
         polyfam._rogers_density(q, 256)[0] = 0.0
+
+
+@pytest.mark.parametrize("n_nodes", [128, 256, 2048])
+def test_a_theta_rule_whose_weights_are_not_finite_raises_and_is_not_cached(n_nodes):
+    """At q = 0.999 the density product overflows (the first rung reads it from the second), and
+    every rung raises, each time it is asked for."""
+    clear_caches()
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match=rf"^Rogers theta rule is not finite at q=0\.999 on {n_nodes} nodes$"):
+            polyfam.rogers_theta_rule(0.999, n_nodes)
+    assert polyfam._theta_rule.cache_info().currsize == 0
 
 
 def reference_eigen_residual(state):

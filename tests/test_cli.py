@@ -358,11 +358,25 @@ def test_numerical_failures_are_reported_as_numerical_errors(args, message, caps
 
 
 def test_a_non_finite_rogers_quadrature_exits_2_at_once(capsys):
-    with np.errstate(over="ignore", invalid="ignore"):  # the q = 0.999 density product overflows
-        assert cli.main(["table", "--kind=gram", "--family=rogers", "--q=0.999", "--nmax=10"]) == 2
+    assert cli.main(["table", "--kind=gram", "--family=rogers", "--q=0.999", "--nmax=10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "qhermite: numerical error: Rogers Gram quadrature is not finite at q=0.999 on 128 nodes\n"
+    assert captured.err == "qhermite: numerical error: Rogers theta rule is not finite at q=0.999 on 128 nodes\n"
+
+
+@pytest.mark.parametrize("args, n_nodes", [
+    (["table", "--kind=gram", "--family=rogers", "--q=0.999", "--nmax=10"], 128),
+    (["gft", "--q=0.999"], 128),
+    (["verify", "--suite=gft", "--q=0.999"], 2048),
+])
+def test_q_0_999_rogers_commands_exit_2_without_a_warning_under_warnings_as_errors(args, n_nodes):
+    """The density's overflow near q = 1 is expected; with RuntimeWarning raised as an error it
+    would otherwise end the process with a traceback instead of the numerical-error line."""
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qhermite", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == f"qhermite: numerical error: Rogers theta rule is not finite at q=0.999 on {n_nodes} nodes\n"
 
 
 @pytest.mark.parametrize("suite", ["jackson", "moments"])

@@ -18,15 +18,16 @@ from qhermite import (
     discrete1,
     discrete2,
     e_q_gaussian,
+    e_q_reciprocal,
     e_q_tilde,
     eigen_residual,
     eval_orthonormal,
+    jackson_integral,
     moment_recurrence_check,
     overlap,
     q_factorial,
     q_number,
     radius_estimate,
-    resolution_moment_check,
     resolution_moment_profile,
     rogers,
     rogers_radius,
@@ -231,28 +232,27 @@ def test_radius_estimate_scale_free(scale):
     assert abs(r1 - r2) <= 1e-12 * r1
 
 
-def test_resolution_moment_examples():
-    got, want = resolution_moment_check(0, 0.5)
-    assert got == pytest.approx(1.0, rel=1e-12) and want == 1.0
-    got, want = resolution_moment_check(3, 0.5)
-    assert got == pytest.approx(want, rel=1e-9)
-    got, want = resolution_moment_check(5, 0.9)
-    assert got == pytest.approx(want, rel=1e-8)
+def _direct_moment(n, q):
+    """The n-th resolution moment as its own Jackson integral of x^n / e_q(qx) over [0, 1/(1-q)]."""
+    return jackson_integral(lambda x: e_q_reciprocal(q * x, q) * x**n, 1 / (1 - q), q)
 
 
 def test_resolution_moment_profile_matches_direct():
     profile = resolution_moment_profile(15, 0.5)
     for n, (computed, expected) in enumerate(profile):
         assert expected == pytest.approx(q_factorial(n, 0.5), rel=1e-14)
-        direct, _ = resolution_moment_check(n, 0.5)
-        assert computed == pytest.approx(direct, rel=1e-11)
+        assert computed == pytest.approx(_direct_moment(n, 0.5), rel=1e-11)
         assert computed == pytest.approx(expected, rel=1e-8)
+    assert profile[0][0] == pytest.approx(1.0, rel=1e-12) and profile[0][1] == 1.0
+    assert profile[3][0] == pytest.approx(profile[3][1], rel=1e-9)
+    computed, expected = resolution_moment_profile(5, 0.9)[5]
+    assert computed == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
 def test_moment_profile_equals_each_direct_integral_bit_for_bit(q):
     for n, (computed, _) in enumerate(resolution_moment_profile(15, q)):
-        assert computed.hex() == resolution_moment_check(n, q)[0].hex(), n
+        assert computed.hex() == _direct_moment(n, q).hex(), n
 
 
 @pytest.mark.parametrize("nmax", [-1, -5])

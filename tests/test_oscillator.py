@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qhermite import (
+    BnSequence,
     DimensionError,
     DomainError,
     OperatorKind,
@@ -16,14 +17,12 @@ from qhermite import (
     discrete2,
     discrete2_bn,
     hamiltonian_form_ratio,
-    ladder_prefactor,
     q_number,
     qdiff_residual_discrete2,
     qdiff_residual_rogers,
     rogers_bn,
     source_for_family,
     spectrum,
-    user_bn,
 )
 from qhermite import discrete1 as discrete1_family
 
@@ -74,15 +73,13 @@ def test_dimension_errors():
         build_operator(OperatorKind.POSITION, rogers_bn(), 0.5, 1)
     with pytest.raises(DimensionError):
         commutator_residual(Relation.ARIK_COON, rogers_bn(), 0.5, 2)
-    with pytest.raises(DimensionError):
-        build_operator(OperatorKind.POSITION, user_bn([1.0, 2.0]), 0.5, 5)
 
 
-def test_user_sequence_validation():
-    with pytest.raises(DomainError):
-        user_bn([0.5, -0.1])
+def test_source_validation():
     with pytest.raises(UnsupportedFamily):
         source_for_family(discrete1_family(0.5))
+    with pytest.raises(DomainError, match="^a b_n sequence needs a Family, got None$"):
+        BnSequence(None)
 
 
 def test_arik_coon_relation():
@@ -145,13 +142,6 @@ def test_spectrum_matches_hamiltonian_diagonal():
         diag = np.diag(ham).real
         assert np.max(np.abs(diag - lam) / lam) < 1e-12
         assert np.all(np.diff(lam) > 0)
-
-
-def test_spectrum_user_supplied():
-    src = user_bn([0.5, 0.7, 0.9, 1.1])
-    lam = spectrum(src, 0.5, 3)
-    gamma = ladder_prefactor(src, 0.5)
-    assert lam[1] == pytest.approx(gamma**2 * (0.5**2 + 0.7**2), rel=1e-14)
 
 
 def test_qdiff_rogers():

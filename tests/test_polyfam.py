@@ -25,14 +25,12 @@ from qhermite import (
     eval_orthonormal_sequence,
     gram_matrix,
     phi_2_1,
-    phi_ratio_series,
     polyfam,
     q_pochhammer,
     qcore,
     recurrence_coeff,
     rogers,
     rogers_trig_eval,
-    weight_density,
 )
 from qhermite.polyfam import FAMILY_TABLE
 
@@ -177,12 +175,13 @@ def test_phi_pole_error():
     with pytest.raises(PoleError):
         phi_2_1(0.3, 0.4, 0.5**-1, 0.5, 0.2)
     with pytest.raises(PoleError):
-        phi_ratio_series(0.3, 0.5**-2, 0.5, 0.2)
+        phi_2_1(0.3, 0.0, 0.5**-2, 0.5, 0.2)
 
 
-def test_phi_ratio_series_examples():
-    assert phi_ratio_series(1.0, 0.3, 0.5, 0.2) == 1.0
-    assert phi_ratio_series(0.7, 0.3, 0.5, 0.0) == 1.0
+def test_phi_2_1_with_b_zero_examples():
+    """b = 0 makes (b;q)_k exactly 1, leaving sum_k (a;q)_k / (c;q)_k z^k / (q;q)_k."""
+    assert phi_2_1(1.0, 0.0, 0.3, 0.5, 0.2) == 1.0
+    assert phi_2_1(0.7, 0.0, 0.3, 0.5, 0.0) == 1.0
     # high-precision partial-sum oracle
     import mpmath as mp
 
@@ -193,27 +192,7 @@ def test_phi_ratio_series_examples():
         tot += term
         term *= (1 - mp.mpf(a) * mp.mpf(q) ** k) / (1 - mp.mpf(b) * mp.mpf(q) ** k)
         term *= mp.mpf(z) / (1 - mp.mpf(q) ** (k + 1))
-    assert phi_ratio_series(a, b, q, z) == pytest.approx(float(tot), rel=1e-12)
-
-
-def test_weight_density_examples():
-    q = 0.5
-    # theta = pi/2 puts e^{2 i theta} at -1
-    direct = 1.0
-    s = 0
-    while q**s > 1e-19:
-        direct *= (1 + q**s) ** 2
-        s += 1
-    mass = float(q_pochhammer(q, q, math.inf))
-    assert weight_density(rogers(q), 0.0) == pytest.approx(mass / (2 * math.pi) * direct, rel=1e-12)
-    assert weight_density(discrete2(q), 0.0) == 1.0
-    for x in (0.5, -0.5, 2.0, -2.0):
-        w = weight_density(discrete2(q), x)
-        assert w > 0.0
-    with pytest.raises(DomainError):
-        weight_density(rogers(q), 1.0)
-    with pytest.raises(UnsupportedFamily):
-        weight_density(discrete1(q), 0.3)
+    assert phi_2_1(a, 0.0, b, q, z) == pytest.approx(float(tot), rel=1e-12)
 
 
 def test_rogers_gram_identity():
@@ -229,11 +208,11 @@ def test_rogers_gram_trivial_two_by_two():
 
 
 def test_rogers_quadrature_fails_fast_on_a_non_finite_rung():
-    """At q = 0.999 the density product overflows and every rung's result is non-finite; the
-    quadrature raises on the first rung instead of refining to 32,768 nodes (29 s)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(QuadratureError, match=r"^Rogers Gram quadrature is not finite at q=0\.999 on 128 nodes$"):
-            gram_matrix(rogers(0.999), 10)
+    """At q = 0.999 the density product overflows and every rung's weights are non-finite; the
+    quadrature raises on the first rung's theta rule, without a numpy warning, instead of
+    refining to 32,768 nodes (29 s)."""
+    with pytest.raises(QuadratureError, match=r"^Rogers theta rule is not finite at q=0\.999 on 128 nodes$"):
+        gram_matrix(rogers(0.999), 10)
 
 
 def test_discrete2_gram_normalized():
@@ -427,24 +406,24 @@ def test_discrete2_array_rejects_any_zero_element():
 
 def test_array_series_convergence_error_when_any_element_fails(monkeypatch):
     monkeypatch.setattr(qcore, "_MAX_TERMS", 5)
-    assert phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.0])).tolist() == [1.0, 1.0]
+    assert phi_2_1(0.0, 0.0, 0.0, 0.5, np.array([0.0, 0.0])).tolist() == [1.0, 1.0]
     with pytest.raises(ConvergenceError):
-        phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]))
+        phi_2_1(0.0, 0.0, 0.0, 0.5, np.array([0.0, 0.9]))
 
 
 def test_array_series_convergence_error_names_the_entry_still_running(monkeypatch):
     monkeypatch.setattr(qcore, "_MAX_TERMS", 5)
     with pytest.raises(ConvergenceError, match=r"within 5 terms \(entry 1: last term [-+.e\d]+, partial sum [-+.e\d]+\)$"):
-        phi_ratio_series(0.0, 0.0, 0.5, np.array([0.0, 0.9]))
+        phi_2_1(0.0, 0.0, 0.0, 0.5, np.array([0.0, 0.9]))
 
 
 def test_array_series_pole_only_for_elements_still_running():
     # a = q^-1 ends the series at k = 1, before the denominator q^-2 vanishes at k = 2
     q = 0.5
-    got = phi_ratio_series(np.array([q**-1, q**-1]), q**-2, q, 0.2)
-    assert got.tolist() == [phi_ratio_series(q**-1, q**-2, q, 0.2)] * 2
+    got = phi_2_1(np.array([q**-1, q**-1]), 0.0, q**-2, q, 0.2)
+    assert got.tolist() == [phi_2_1(q**-1, 0.0, q**-2, q, 0.2)] * 2
     with pytest.raises(PoleError):
-        phi_ratio_series(np.array([q**-1, 0.3]), q**-2, q, 0.2)
+        phi_2_1(np.array([q**-1, 0.3]), 0.0, q**-2, q, 0.2)
 
 
 def test_array_series_stopped_element_adds_nothing_more():
@@ -452,8 +431,8 @@ def test_array_series_stopped_element_adds_nothing_more():
     # not 0); its later terms would overflow while the second element still runs
     q = 0.41
     with np.errstate(over="raise", invalid="raise"):
-        got = phi_ratio_series(np.array([q**-1, 0.0]), 0.0, q, np.array([1e150, 0.9]))
-    assert got.tolist() == [phi_ratio_series(q**-1, 0.0, q, 1e150), phi_ratio_series(0.0, 0.0, q, 0.9)]
+        got = phi_2_1(np.array([q**-1, 0.0]), 0.0, 0.0, q, np.array([1e150, 0.9]))
+    assert got.tolist() == [phi_2_1(q**-1, 0.0, 0.0, q, 1e150), phi_2_1(0.0, 0.0, 0.0, q, 0.9)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -550,11 +529,6 @@ def test_theta_rule_bits_equal_two_product_build(qq):
     for n_nodes in (128, 2048):
         for got, want in zip(polyfam._theta_rule.__wrapped__(qq, n_nodes), _two_product_theta_rule(qq, n_nodes)):
             assert got.tobytes() == want.tobytes()
-    for x in (-0.93, -0.2, 0.0, 0.41, 0.87):
-        u2 = complex(math.cos(2 * math.acos(x)), math.sin(2 * math.acos(x)))
-        prod = q_pochhammer(u2, qq, math.inf) * q_pochhammer(u2.conjugate(), qq, math.inf)
-        want = float(q_pochhammer(qq, qq, math.inf)) / (2.0 * math.pi) * prod.real / math.sqrt(1.0 - x * x)
-        assert weight_density(rogers(qq), x) == want
 
 
 def test_discrete2_b_overflow_names_family_degree_and_q():

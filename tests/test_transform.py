@@ -14,8 +14,8 @@ from qhermite import (
     eval_orthonormal_sequence,
     gft_apply,
     gft_matrix,
-    mehler_closed_form_check,
     poisson_kernel,
+    q_pochhammer,
     rogers,
     rogers_bn,
     rogers_theta_rule,
@@ -116,22 +116,12 @@ def test_gft_unitarity():
     assert np.max(np.abs(f.conj().T @ f - np.eye(13))) < 1e-7
 
 
-def test_mehler_check_trivial():
-    s, c = mehler_closed_form_check(0.3, 0.3, 0.0, 0.5)
-    assert s == pytest.approx(1.0, rel=1e-12)
-    assert c == pytest.approx(1.0, rel=1e-12)
-
-
-def test_mehler_check_equal_args_agree():
-    s, c = mehler_closed_form_check(0.3, 0.3, 0.3, 0.5)
-    assert s == pytest.approx(c, rel=1e-10)
-
-
-def test_mehler_check_unequal_args_disagree():
-    # the printed closed form carries no y-dependence; the diagnostic
-    # documents the mismatch instead of asserting equality
-    s, c = mehler_closed_form_check(0.3, -0.6, 0.3, 0.5)
-    assert abs(s - c) > 0.1
-    s2, c2 = mehler_closed_form_check(0.3, 0.8, 0.3, 0.5)
-    assert c2 == pytest.approx(c, rel=1e-12)  # closed value ignores y
-    assert s2 != pytest.approx(s, rel=1e-6)
+@pytest.mark.parametrize("q", [0.3, 0.5])
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_kernel_on_the_diagonal_equals_the_q_mehler_closed_form(q, t):
+    """sum_n t^n phi_n(x)^2 = (t^2;q)_inf / (|(t e^{2i theta};q)_inf|^2 (t;q)_inf^2) at x = cos(theta)."""
+    for x in (-0.8, 0.0, 0.3):
+        theta = math.acos(x)
+        half = q_pochhammer(t * complex(math.cos(2 * theta), math.sin(2 * theta)), q, math.inf)
+        closed = q_pochhammer(t * t, q, math.inf) / (abs(half) ** 2 * q_pochhammer(t, q, math.inf) ** 2)
+        assert poisson_kernel(x, x, KernelSpec(QParam(q), t, 400)).real == pytest.approx(closed, rel=1e-10)
