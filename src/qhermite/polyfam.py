@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, QuadratureError, UnsupportedFamily
-from .qcore import (_MAX_TERMS, _TERM_TOL, QParam, Scalar, _q_powers, _sum_series, _terms_above_cutoff, as_qparam,
+from .qcore import (_TERM_TOL, QParam, Scalar, _q_powers, _sum_series, _terms_above_cutoff, as_qparam,
                     q_number, q_pochhammer)
 
 
@@ -536,34 +536,6 @@ def rogers_quadrature(q: QParam | float, nmax: int, rhs: Callable[[np.ndarray, n
 #: the cap bounds the block temporaries
 _LATTICE_BLOCK_MAX = 64
 
-#: matrix entries per outer-product temporary of the Gram sum (1 MiB of
-#: float64); a block's points are added in chunks of at most this size
-_GRAM_CHUNK_ENTRIES = 1 << 17
-
-
-def _lattice_log_weights(x: np.ndarray, q: float) -> np.ndarray:
-    """log w(x) = -sum_s log1p(x^2 q^{2s}) for each lattice point, the sum
-    stopping at the first term below 1e-18.
-
-    Terms are formed as (x*x) * q**(2s), each power equal to Python's
-    q ** (2*s), and mapped through math.log1p, and each row is added up in
-    s order by cumsum, so every value equals the term-by-term scalar loop
-    bit for bit.
-    """
-    x2 = x * x
-    top = float(np.max(x2))  # the largest point has the longest run of live terms
-    n_terms = _terms_above_cutoff(q, top, step=2)
-    if not n_terms:
-        return np.zeros(x.shape)
-    t = x2[:, None] * _q_powers(q, 0, n_terms, step=2)
-    live = np.logical_and.accumulate(t >= 1e-18, axis=1)
-    live_t = t[live]
-    logs = np.zeros(t.shape)
-    # a few thousand terms at a time keep the list of Python floats short
-    logs[live] = np.concatenate([np.fromiter(map(math.log1p, live_t[lo : lo + 4096].tolist()), float)
-                                 for lo in range(0, live_t.size, 4096)])
-    return 0.0 - np.cumsum(logs, axis=1)[:, -1]
-
 
 def _scaled_sequence(a: list[float], d: list[float], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal values of degree 0..len(d) at each point of x (one column
@@ -606,70 +578,73 @@ def _lattice_points(c: float, q: float, ks: range) -> np.ndarray:
     return np.array(xs)
 
 
-def _weighted_outer(factor: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """factor[j] * outer(vecs[:, j], vecs[:, j]) for each column j, stacked."""
-    v = vecs.T
-    out = v[:, :, None] * v[:, None, :]
-    out *= factor[:, None, None]
-    return out
+def _reduced_scale(c: float, q: float) -> float:
+    """c q^j in (q, 1] for j = ceil(log c / -log q), which leaves the lattice
+    {+-c q^k} and its sum c (1-q) sum_k q^k (...) unchanged; q^j is taken in
+    two halves so that neither leaves double range."""
+    j = math.ceil(math.log(c) / -math.log(q))
+    return c * q ** (j // 2) * q ** (j - j // 2)
 
 
 def _discrete2_gram(family: FamilyDescriptor, nmax: int) -> np.ndarray:
-    """Unnormalized Gram sum over the lattice {+-c q^k}.
+    """Unnormalized Gram sum over the lattice {+-c q^k}, c reduced into (q, 1].
 
-    Each side (k = 0, 1, ... then k = -1, -2, ...) is evaluated in blocks of
-    points and stops three points after its terms fall below _TERM_TOL.  The
-    points of a block past the stop are discarded; the used points add to
-    the matrix in lattice order, +x before -x, so the sum equals the
-    point-by-point loop bit for bit.  The sum starts from +0.0, and
-    +0.0 + -0.0 is +0.0, so a zero entry is +0.0 whatever the sign of the
-    zero terms added to it.
+    x_k = c q^k has weight exp(-L_k), L_k = sum_{t >= k} log1p(x_t^2): one
+    reverse cumulative sum over the positive points (down to x_t^2 < 1e-18),
+    run on outward over the negative ones.  Each side, k = 0, 1, ... then
+    k = -1, -2, ..., is evaluated in blocks of points whose magnitudes
+    max_j w q^k p_j(x_k)^2 go through _sum_series's stop rule; a block's
+    points past the stop are discarded, and its used ones add S S^T,
+    S = p(x_k) sqrt(w q^k), exactly symmetric.  As p_j(-x) = (-1)^j p_j(x)
+    exactly, -x_k doubles the entries of even i + j and cancels the others.
     """
     q = family.q.q
-    c = family.lattice_scale
+    c = _reduced_scale(family.lattice_scale, q)
     a, d = _orthonormal_coeffs(family, nmax)
     log_q = math.log(q)
+    x = c * _q_powers(q, 0, _terms_above_cutoff(q, c * 1e-9))  # the positive points c q^t >= 1e-9, x^2 >= 1e-18
+    tail = np.append(np.cumsum(np.log1p(x * x)[::-1])[::-1], 0.0)  # L_0, L_1, ..., and 0 past them
     gram = np.zeros((nmax + 1, nmax + 1))
-    chunk = max(1, _GRAM_CHUNK_ENTRIES // (nmax + 1) ** 2)
+
+    def magnitudes(direction: int, size: int, blocks: list) -> Iterator[float]:
+        """Yield each point's magnitude in walk order, appending [S, points read] per block."""
+        k = 0 if direction == 1 else -1
+        edge = tail[0]  # L_0, then L of the last negative point so far
+        while True:
+            xs = _lattice_points(c, q, range(k, k + direction * size, direction))
+            ks = np.arange(k, k + direction * xs.size, direction)
+            # points past the stop may overflow to inf or nan; they are discarded unread
+            with np.errstate(over="ignore", invalid="ignore"):
+                if direction == 1:
+                    big_l = tail[np.minimum(ks, tail.size - 1)]
+                else:
+                    big_l = edge + np.cumsum(np.log1p(xs * xs))
+                    edge = big_l[-1]
+                vals, log_scale = _scaled_sequence(a, d, xs)
+                expo = ks * log_q - big_l + 2.0 * log_scale
+                s = vals * np.exp(0.5 * expo)
+                mags = np.max(s * s, axis=0).tolist()
+                over = (expo > 700.0).tolist()  # past math.exp's range
+            block = [s, 0]
+            blocks.append(block)
+            for i, mag in enumerate(mags):
+                if over[i]:
+                    raise ConvergenceError("type-II lattice term overflow")
+                block[1] = i + 1
+                yield mag
+            k += direction * xs.size
+            size = min(2 * size, _LATTICE_BLOCK_MAX)
+
     # the positive side decays like q^k: about log(_TERM_TOL)/log(q) points, then the three small ones
     first_positive = min(max(int(math.log(_TERM_TOL) / log_q) + 4, 1), _LATTICE_BLOCK_MAX)
     for direction, size in ((1, first_positive), (-1, 8)):
-        k = 0 if direction == 1 else -1
-        small_run = 0
-        steps = 0
-        while small_run < 3:
-            xs = _lattice_points(c, q, range(k, k + direction * size, direction))
-            n = xs.size
-            ks = np.arange(k, k + direction * n, direction)
-            # points past the stop may overflow to inf or nan; they are discarded unread
-            with np.errstate(over="ignore", invalid="ignore"):
-                log_w = _lattice_log_weights(xs, q)
-                vals, log_scale = _scaled_sequence(a, d, np.concatenate([xs, -xs]))
-                expo = (np.tile(log_w, 2) + 2.0 * log_scale + np.tile(ks, 2) * log_q).tolist()
-            peak = np.max(np.abs(vals), axis=0).tolist()
-            factor = np.zeros(2 * n)
-            used = 0
-            while used < n and small_run < 3:
-                i, j = used, used + n  # +x, -x
-                if expo[i] > 700.0 or expo[j] > 700.0:  # past math.exp's range
-                    raise ConvergenceError("type-II lattice term overflow")
-                f_plus, f_minus = math.exp(expo[i]), math.exp(expo[j])  # underflow cleanly to 0 far out
-                factor[i], factor[j] = f_plus, f_minus
-                mag = max(0.0, f_plus * peak[i] ** 2, f_minus * peak[j] ** 2)
-                small_run = small_run + 1 if mag < _TERM_TOL else 0
-                used += 1
-                steps += 1
-                if steps > _MAX_TERMS:
-                    raise ConvergenceError("type-II lattice sum did not decay within max_terms")
-            for lo in range(0, used, chunk):
-                hi = min(lo + chunk, used)
-                pair = _weighted_outer(factor[lo:hi], vals[:, lo:hi])
-                pair += _weighted_outer(factor[n + lo : n + hi], vals[:, n + lo : n + hi])
-                pair[0] += gram
-                gram = np.add.accumulate(pair)[-1]  # adds in lattice order, as a running sum does
-            k += direction * n
-            size = min(2 * size, _LATTICE_BLOCK_MAX)
-    return c * (1.0 - q) * gram
+        blocks = []  # each block's columns S and the count of its points the stop rule read
+        _sum_series(magnitudes(direction, size, blocks), "type-II lattice sum")
+        for s, read in blocks:
+            s = s[:, :read]
+            gram += s @ s.T
+    gram[1::2, ::2] = gram[::2, 1::2] = 0.0  # the entries of odd i + j
+    return 2.0 * c * (1.0 - q) * gram
 
 
 def gram_matrix(family: FamilyDescriptor, nmax: int) -> GramReport:

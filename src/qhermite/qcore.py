@@ -156,13 +156,13 @@ def q_factorial(n: int, q: QParam | float) -> float:
     return out
 
 
-def _q_powers(q: float, start: int, stop: int, step: int = 1) -> np.ndarray:
-    """q**(step*s) for s in range(start, stop) as a float64 array.
+def _q_powers(q: float, start: int, stop: int) -> np.ndarray:
+    """q**s for s in range(start, stop) as a float64 array.
 
     np.float_power calls libm's pow as Python's q ** n does, so each power
-    equals q ** (step*s) bit for bit.
+    equals q ** s bit for bit.
     """
-    return np.float_power(q, np.arange(start * step, stop * step, step, dtype=float))
+    return np.float_power(q, np.arange(start, stop, dtype=float))
 
 
 #: power tables kept per process, one per value of q; one verify-all run uses 2
@@ -198,9 +198,9 @@ def _power_table(q: float, n: int = 0) -> list[float]:
     return table
 
 
-def _terms_above_cutoff(q: float, mag: float, step: int = 1) -> int:
-    """The first s >= 0 where mag * q**(step*s) >= 1e-18 fails: the factor
-    count of an infinite product over max |a| = mag.
+def _terms_above_cutoff(q: float, mag: float) -> int:
+    """The first s >= 0 where mag * q**s >= 1e-18 fails: the factor count
+    of an infinite product over max |a| = mag.
 
     The test falls monotonically in s, so s is found by stepping from an
     estimate of where it fails with the loop's own float test.
@@ -208,10 +208,10 @@ def _terms_above_cutoff(q: float, mag: float, step: int = 1) -> int:
     if not mag >= _PRODUCT_CUTOFF:  # s = 0, where q**0 is 1.0
         return 0
     edge = max(_PRODUCT_CUTOFF / mag, 5e-324)  # the smallest double, where q**s underflows
-    s = max(int(math.log(edge) / (step * math.log(q))), 1)
-    while not mag * q ** (step * (s - 1)) >= _PRODUCT_CUTOFF:
+    s = max(int(math.log(edge) / math.log(q)), 1)
+    while not mag * q ** (s - 1) >= _PRODUCT_CUTOFF:
         s -= 1
-    while mag * q ** (step * s) >= _PRODUCT_CUTOFF:
+    while mag * q**s >= _PRODUCT_CUTOFF:
         s += 1
     return s
 

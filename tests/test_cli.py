@@ -379,6 +379,20 @@ def test_q_0_999_rogers_commands_exit_2_without_a_warning_under_warnings_as_erro
     assert proc.stderr == f"qhermite: numerical error: Rogers theta rule is not finite at q=0.999 on {n_nodes} nodes\n"
 
 
+@pytest.mark.parametrize("c", ["1e-300", "1e100", "1e150"])
+def test_discrete2_gram_at_an_extreme_lattice_scale_exits_0_under_warnings_as_errors(c):
+    """The lattice scale is reduced into (q, 1] before the sum; summed on c's own lattice,
+    c = 1e100 divided by a zero (0, 0) entry and c = 1e-300 overflowed Python's q ** k."""
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qhermite", "table", "--kind=gram",
+                           "--family=discrete2", "--nmax=4", f"--c={c}"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_discrete2_gram_near_q_1_exits_0(capsys):
+    assert cli.main(["table", "--kind=gram", "--family=discrete2", "--q=0.99", "--c=2.5", "--nmax=10"]) == 0
+
+
 @pytest.mark.parametrize("suite", ["jackson", "moments"])
 def test_moment_suites_pass_at_q_0_99(suite, capsys):
     """At q = 0.99 e_q's power series needs more than 10,000 terms; Euler's product does not."""
