@@ -261,8 +261,6 @@ def radius_estimate(coeff_norms: Sequence[float]) -> RadiusReport:
         return RadiusReport(0.0, len(u), "ratio-divergent")
     estimates = [1.0 / math.sqrt(r) for r in ratios[-10:]]
     for _ in range(2):  # two Aitken delta-squared sweeps
-        if len(estimates) < 3:
-            break
         accel = []
         for i in range(len(estimates) - 2):
             d2 = estimates[i + 2] - 2.0 * estimates[i + 1] + estimates[i]

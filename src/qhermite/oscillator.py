@@ -258,23 +258,23 @@ def qdiff_residual_discrete2(
 
     for the monic type-II polynomials; the shifts step one rung along the
     geometric lattice.  perturb_lhs_q replaces q by another value in the
-    left-hand factor (1-q^n) as a negative control.
+    left-hand factor (1-q^n) as a negative control.  x, x/q and qx take one
+    recurrence pass; a residual that is not finite, where the monic values
+    leave double range, raises the family's OverflowError naming n and q.
     """
-    qp = as_qparam(q)
-    q_ = qp.q
+    q_ = as_qparam(q).q
     if n < 0:
         raise DomainError("degree must be non-negative")
     q_lhs = q_ if perturb_lhs_q is None else perturb_lhs_q
-    worst = 0.0
-    scale = 0.0
-    for x in x_grid:
-        h_here = polyfam.discrete2_eval_monic(n, x, qp)
+    x = np.asarray(x_grid, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
+        grids = np.stack([x, x / q_, q_ * x])  # at n = 0 the recurrence gives the scalar 1.0
+        h_here, h_over_q, h_times_q = np.broadcast_to(polyfam.discrete2_eval_monic(n, grids, q_), grids.shape)
         lhs = -(1.0 - q_lhs**n) * x * x * h_here
-        rhs = (
-            q_ * polyfam.discrete2_eval_monic(n, x / q_, qp)
-            - (1.0 + q_ + x * x) * h_here
-            + (1.0 + x * x) * polyfam.discrete2_eval_monic(n, q_ * x, qp)
-        )
-        worst = max(worst, abs(lhs - rhs))
-        scale = max(scale, abs((1.0 - q_**n) * x * x * h_here), abs(h_here))
-    return worst / max(scale, 1.0)
+        rhs = q_ * h_over_q - (1.0 + q_ + x * x) * h_here + (1.0 + x * x) * h_times_q
+        worst = np.max(np.abs(lhs - rhs), initial=0.0)
+        scale = np.max(np.maximum(np.abs((1.0 - q_**n) * x * x * h_here), np.abs(h_here)), initial=0.0)
+        residual = float(worst / max(scale, 1.0))
+    if not math.isfinite(residual):
+        raise polyfam._discrete2_overflow("lattice difference residual", n, q_)
+    return residual

@@ -24,8 +24,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import qcore
 from .errors import ConvergenceError, DomainError, PoleError, QuadratureError, UnsupportedFamily
-from .qcore import (_TERM_TOL, QParam, Scalar, _q_powers, _sum_series, _terms_above_cutoff, as_qparam,
+from .qcore import (QParam, Scalar, _q_powers, _sum_series, _terms_above_cutoff, as_qparam,
                     q_number, q_pochhammer)
 
 
@@ -564,20 +565,6 @@ def _scaled_sequence(a: list[float], d: list[float], x: np.ndarray) -> tuple[np.
     return vals, log_scale
 
 
-def _lattice_points(c: float, q: float, ks: range) -> np.ndarray:
-    """c * q**k for k in ks, ending early before a k whose q**k overflows
-    (the first k of the range still raises)."""
-    xs = []
-    for k in ks:
-        try:
-            xs.append(c * q**k)
-        except OverflowError:
-            if not xs:
-                raise
-            break
-    return np.array(xs)
-
-
 def _reduced_scale(c: float, q: float) -> float:
     """c q^j in (q, 1] for j = ceil(log c / -log q), which leaves the lattice
     {+-c q^k} and its sum c (1-q) sum_k q^k (...) unchanged; q^j is taken in
@@ -589,42 +576,52 @@ def _reduced_scale(c: float, q: float) -> float:
 def _discrete2_gram(family: FamilyDescriptor, nmax: int) -> np.ndarray:
     """Unnormalized Gram sum over the lattice {+-c q^k}, c reduced into (q, 1].
 
-    x_k = c q^k has weight exp(-L_k), L_k = sum_{t >= k} log1p(x_t^2): one
-    reverse cumulative sum over the positive points (down to x_t^2 < 1e-18),
-    run on outward over the negative ones.  Each side, k = 0, 1, ... then
-    k = -1, -2, ..., is evaluated in blocks of points whose magnitudes
-    max_j w q^k p_j(x_k)^2 go through _sum_series's stop rule; a block's
-    points past the stop are discarded, and its used ones add S S^T,
-    S = p(x_k) sqrt(w q^k), exactly symmetric.  As p_j(-x) = (-1)^j p_j(x)
+    x_k = c q^k has weight exp(-L_k), L_k = sum_{t >= k} log1p(x_t^2).  The
+    positive side is finite: its T points x_t >= 1e-9, then one point x = 0
+    of weight q^T / (1 - q) = sum_{t >= T} q^t, exact to double precision as
+    L_t < 1e-18 there and p_i p_j of even i + j is p_i(0) p_j(0) + O(x_t^2).
+    The negative side, k = -1, -2, ..., runs L on outward in blocks whose
+    magnitudes max_j w q^k p_j(x_k)^2 go through _sum_series's stop rule; a
+    block's points past the stop are discarded.  Each block adds S S^T, S =
+    p(x_k) sqrt(w q^k), exactly symmetric; as p_j(-x) = (-1)^j p_j(x)
     exactly, -x_k doubles the entries of even i + j and cancels the others.
     """
     q = family.q.q
     c = _reduced_scale(family.lattice_scale, q)
     a, d = _orthonormal_coeffs(family, nmax)
     log_q = math.log(q)
-    x = c * _q_powers(q, 0, _terms_above_cutoff(q, c * 1e-9))  # the positive points c q^t >= 1e-9, x^2 >= 1e-18
-    tail = np.append(np.cumsum(np.log1p(x * x)[::-1])[::-1], 0.0)  # L_0, L_1, ..., and 0 past them
+    big_t = _terms_above_cutoff(q, c * 1e-9)  # the positive points c q^t >= 1e-9, x^2 >= 1e-18
+    if big_t > 10 * qcore._MAX_TERMS:  # q_pochhammer's cap on its factor count
+        raise ConvergenceError(f"type-II lattice sum: {big_t} positive points, more than {10 * qcore._MAX_TERMS}")
+    x = np.append(c * _q_powers(q, 0, big_t), 0.0)
+    big_l = np.cumsum(np.log1p(x * x)[::-1])[::-1]  # L_0, ..., L_{T-1}, and 0 at x = 0
+    expo = np.arange(big_t + 1) * log_q - big_l
+    expo[-1] -= math.log1p(-q)  # the point x = 0 stands for every t >= T
     gram = np.zeros((nmax + 1, nmax + 1))
+    for lo in range(0, big_t + 1, _LATTICE_BLOCK_MAX):
+        vals, log_scale = _scaled_sequence(a, d, x[lo : lo + _LATTICE_BLOCK_MAX])
+        s = vals * np.exp(0.5 * (expo[lo : lo + _LATTICE_BLOCK_MAX] + 2.0 * log_scale))
+        gram += s @ s.T
 
-    def magnitudes(direction: int, size: int, blocks: list) -> Iterator[float]:
-        """Yield each point's magnitude in walk order, appending [S, points read] per block."""
-        k = 0 if direction == 1 else -1
-        edge = tail[0]  # L_0, then L of the last negative point so far
+    def magnitudes(blocks: list) -> Iterator[float]:
+        """Yield each negative point's magnitude in walk order, appending [S, points read] per block."""
+        k, size, edge = -1, 8, big_l[0]  # edge: L_0, then L of the last point so far
         while True:
-            xs = _lattice_points(c, q, range(k, k + direction * size, direction))
-            ks = np.arange(k, k + direction * xs.size, direction)
+            ks = np.arange(k, k - size, -1)
+            with np.errstate(over="ignore"):  # float_power is libm pow, as Python's q**k
+                xs = c * np.float_power(q, ks)
+            ks, xs = ks[np.isfinite(xs)], xs[np.isfinite(xs)]  # q**k only grows as k falls
+            if not xs.size:
+                raise ConvergenceError(f"type-II lattice leaves double range at k = {k}, q = {q!r}")
             # points past the stop may overflow to inf or nan; they are discarded unread
             with np.errstate(over="ignore", invalid="ignore"):
-                if direction == 1:
-                    big_l = tail[np.minimum(ks, tail.size - 1)]
-                else:
-                    big_l = edge + np.cumsum(np.log1p(xs * xs))
-                    edge = big_l[-1]
+                big_l_k = edge + np.cumsum(np.log1p(xs * xs))
+                edge = big_l_k[-1]
                 vals, log_scale = _scaled_sequence(a, d, xs)
-                expo = ks * log_q - big_l + 2.0 * log_scale
-                s = vals * np.exp(0.5 * expo)
+                expo_k = ks * log_q - big_l_k + 2.0 * log_scale
+                s = vals * np.exp(0.5 * expo_k)
                 mags = np.max(s * s, axis=0).tolist()
-                over = (expo > 700.0).tolist()  # past math.exp's range
+                over = (expo_k > 700.0).tolist()  # past math.exp's range
             block = [s, 0]
             blocks.append(block)
             for i, mag in enumerate(mags):
@@ -632,17 +629,14 @@ def _discrete2_gram(family: FamilyDescriptor, nmax: int) -> np.ndarray:
                     raise ConvergenceError("type-II lattice term overflow")
                 block[1] = i + 1
                 yield mag
-            k += direction * xs.size
+            k -= xs.size
             size = min(2 * size, _LATTICE_BLOCK_MAX)
 
-    # the positive side decays like q^k: about log(_TERM_TOL)/log(q) points, then the three small ones
-    first_positive = min(max(int(math.log(_TERM_TOL) / log_q) + 4, 1), _LATTICE_BLOCK_MAX)
-    for direction, size in ((1, first_positive), (-1, 8)):
-        blocks = []  # each block's columns S and the count of its points the stop rule read
-        _sum_series(magnitudes(direction, size, blocks), "type-II lattice sum")
-        for s, read in blocks:
-            s = s[:, :read]
-            gram += s @ s.T
+    blocks = []  # each block's columns S and the count of its points the stop rule read
+    _sum_series(magnitudes(blocks), "type-II lattice sum")
+    for s, read in blocks:
+        s = s[:, :read]
+        gram += s @ s.T
     gram[1::2, ::2] = gram[::2, 1::2] = 0.0  # the entries of odd i + j
     return 2.0 * c * (1.0 - q) * gram
 

@@ -393,6 +393,30 @@ def test_discrete2_gram_near_q_1_exits_0(capsys):
     assert cli.main(["table", "--kind=gram", "--family=discrete2", "--q=0.99", "--c=2.5", "--nmax=10"]) == 0
 
 
+def test_discrete2_gram_at_q_0_999_exits_0_under_warnings_as_errors():
+    """The positive side is a finite sum; walked under the stop rule it needed about 37,000 points
+    and exited 2 with "no convergence within 10000 terms"."""
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qhermite", "table", "--kind=gram",
+                           "--family=discrete2", "--q=0.999", "--nmax=10"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["table", "--kind=gram", "--family=discrete2", "--q=1e-30", "--nmax=6"],
+     "type-II lattice leaves double range at k = -11, q = 1e-30"),
+    (["verify", "--suite=qdiff", "--q=0.05", "--nmax=30"],
+     "discrete2 lattice difference residual overflows double range at degree n = 23, q = 0.05"),
+])
+def test_a_lattice_past_double_range_exits_2_with_a_named_error(args, message, capsys):
+    """Before, the Gram printed Python's "(34, 'Numerical result out of range')" and the qdiff
+    suite's lattice residual row passed on a residual that had dropped a NaN."""
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qhermite: numerical error: {message}\n"
+
+
 @pytest.mark.parametrize("suite", ["jackson", "moments"])
 def test_moment_suites_pass_at_q_0_99(suite, capsys):
     """At q = 0.99 e_q's power series needs more than 10,000 terms; Euler's product does not."""

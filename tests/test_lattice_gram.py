@@ -1,12 +1,14 @@
 """The type-II lattice Gram sum against a point-by-point reference loop and
 a high-precision oracle.
 
-`_discrete2_gram` reduces the lattice scale c into (q, 1], evaluates the
-lattice {+-c q^k} in blocks of points and adds one symmetric product per
-block.  The reference below walks the same reduced lattice one point at a
-time, each point with its own weight product, and adds the points in
-lattice order.  The two stop at the same point, raise at the same step and
-agree to within GRAM_REL_BOUND of the largest entry.
+`_discrete2_gram` reduces the lattice scale c into (q, 1], sums the positive
+side as its points c q^t >= 1e-9 plus one point at 0 for the rest, walks the
+negative side under the series stop rule, and adds one symmetric product per
+block of points.  The reference below walks both sides of the same reduced
+lattice one point at a time, each point with its own weight product, and
+adds the points in lattice order.  The negative sides stop at the same
+point and raise at the same step, and the sums agree to within
+GRAM_REL_BOUND of the largest entry.
 """
 
 import math
@@ -111,7 +113,7 @@ def _rel_error(got, want):
 
 
 def _side_counts(monkeypatch, fam, nmax):
-    """The points each side of `_discrete2_gram` reads, counted at its stop rule."""
+    """The points each side of `_discrete2_gram` under the stop rule reads (the negative side only)."""
     counts = []
 
     def counted(terms, what):
@@ -143,7 +145,7 @@ def test_block_sum_matches_pointwise_loop(q, monkeypatch):
             got, counts = _side_counts(monkeypatch, fam, nmax)
             assert np.array_equal(got, got.T), (nmax, c)
             assert _rel_error(got, want) <= GRAM_REL_BOUND, (nmax, c)
-            assert counts == (stats["positive"], stats["negative"]), (nmax, c)
+            assert counts == (stats["negative"],), (nmax, c)
 
 
 def test_grid_exercises_the_rescale():
@@ -152,17 +154,18 @@ def test_grid_exercises_the_rescale():
     assert stats["rescales"] > 0
 
 
-@pytest.mark.parametrize("q,nmax,c,positive,negative", [
-    (0.1, 2, 1.0, 20, 8),    # each side stops on the last point of its first block
-    (0.5, 13, 2.5, 57, 24),  # c reduces to 0.625; the negative side stops on the last point of its second block (8 + 16)
+@pytest.mark.parametrize("q,nmax,c,negative", [
+    (0.1, 2, 1.0, 8),     # the negative side stops on the last point of its first block
+    (0.5, 13, 2.5, 24),   # c reduces to 0.625; the last point of the second block (8 + 16)
+    (0.95, 24, 1.0, 56),  # the last point of the third block (8 + 16 + 32)
 ])
-def test_stop_on_a_block_boundary(q, nmax, c, positive, negative, monkeypatch):
+def test_stop_on_a_block_boundary(q, nmax, c, negative, monkeypatch):
     fam = discrete2(q, c)
     stats = {}
     want = reference_gram(fam, nmax, stats=stats)
-    assert (stats["positive"], stats["negative"]) == (positive, negative)
+    assert stats["negative"] == negative
     got, counts = _side_counts(monkeypatch, fam, nmax)
-    assert counts == (positive, negative)
+    assert counts == (negative,)
     assert _rel_error(got, want) <= GRAM_REL_BOUND
 
 
@@ -174,12 +177,15 @@ def _raises(fn):
     return False
 
 
-@pytest.mark.parametrize("q,nmax", [(0.3, 4), (0.6, 6)])
+@pytest.mark.parametrize("q,nmax", [(0.01, 10), (0.1, 20)])
 def test_max_terms_raises_at_the_same_step(q, nmax, monkeypatch):
+    """Cases where the negative side needs the most points of either side of the reference, and
+    the positive side's T <= 10 points stay under its cap 10 * _MAX_TERMS at every cap tried."""
     fam = discrete2(q)
     stats = {}
     reference_gram(fam, nmax, stats=stats)
-    needed = max(stats["positive"], stats["negative"])
+    needed = stats["negative"]
+    assert stats["positive"] <= needed and polyfam._terms_above_cutoff(q, 1e-9) <= 10
     raised = 0
     for max_terms in range(1, needed + 3):
         monkeypatch.setattr(qcore, "_MAX_TERMS", max_terms)
@@ -187,6 +193,67 @@ def test_max_terms_raises_at_the_same_step(q, nmax, monkeypatch):
         assert _raises(lambda: polyfam._discrete2_gram(fam, nmax)) == want, max_terms
         raised += want
     assert raised == needed - 1  # max_terms >= needed passes, every smaller cap raises
+
+
+def test_positive_side_is_capped_at_ten_times_max_terms(monkeypatch):
+    """The positive side has T points, 2,062 at q = 0.99 (c = 1); past 10 * _MAX_TERMS of them it
+    raises before any is evaluated, the cap q_pochhammer puts on its factor count."""
+    fam = discrete2(0.99)
+    big_t = polyfam._terms_above_cutoff(0.99, 1e-9)
+    assert big_t == 2062
+    want = polyfam._discrete2_gram(fam, 4)
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 206)
+    with pytest.raises(ConvergenceError, match="2062 positive points, more than 2060"):
+        polyfam._discrete2_gram(fam, 4)
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 207)  # the negative side needs 18 points
+    assert polyfam._discrete2_gram(fam, 4).tobytes() == want.tobytes()
+    monkeypatch.undo()
+    with pytest.raises(ConvergenceError, match="positive points"):  # 207,223 of them
+        gram_matrix(discrete2(0.9999), 4)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_q_0_999_passes_the_gate(c):
+    """About 20,700 positive points, past the 10,000-term cap of the stop rule that walked them before."""
+    rep = gram_matrix(discrete2(0.999, c), 10)
+    assert rep.max_offdiag < 1e-13  # 1.6e-14 and 2.2e-14 measured
+    assert np.array_equal(rep.matrix, rep.matrix.T)
+    assert not rep.matrix[1::2, ::2].any() and not rep.matrix[::2, 1::2].any()
+
+
+def test_lattice_leaving_double_range_raises_a_convergence_error():
+    """At q = 1e-30 the negative side's terms stay near 1 until c q^k passes double range at k = -11;
+    before, Python's bare OverflowError escaped from q**k."""
+    with pytest.raises(ConvergenceError, match=r"leaves double range at k = -11, q = 1e-30"):
+        gram_matrix(discrete2(1e-30), 6)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_tail_point_matches_the_pointwise_tail(q, c):
+    """The point at 0 of weight q^T / (1 - q) against the points t >= T one at a time, each with its
+    own weight product, until q^t < 1e-30, in the entries of even i + j."""
+    nmax = 10
+    fam = discrete2(q, c)
+    red = polyfam._reduced_scale(c, q)
+    big_t = polyfam._terms_above_cutoff(q, red * 1e-9)
+    p0 = polyfam.eval_orthonormal_sequence(fam, nmax, 0.0)
+    point = q**big_t / (1.0 - q) * np.outer(p0, p0)
+    pointwise = np.zeros_like(point)
+    t = big_t
+    while q**t >= 1e-30:
+        x = red * q**t
+        log_w, s = 0.0, t
+        while (red * q**s) ** 2 >= 1e-60:
+            log_w -= math.log1p((red * q**s) ** 2)
+            s += 1
+        p = polyfam.eval_orthonormal_sequence(fam, nmax, x)
+        pointwise += q**t * math.exp(log_w) * np.outer(p, p)
+        t += 1
+    for m in (point, pointwise):
+        m[1::2, ::2] = m[::2, 1::2] = 0.0
+    whole = polyfam._discrete2_gram(fam, nmax) / (2.0 * red * (1.0 - q))
+    assert np.max(np.abs(point - pointwise)) <= 1e-16 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("q,nmax,c", [
@@ -258,7 +325,7 @@ def mp_lattice_gram(q, c, nmax):
 
 
 @pytest.mark.parametrize("q,c,nmax,bound", [
-    # measured: 1.7e-13, 4.7e-15, 9.3e-14, 8.7e-16
+    # measured: 1.7e-13, 4.7e-15, 9.3e-14, 7.3e-16
     (0.05, 0.01, 25, 5e-13),
     (0.5, 1.0, 8, 1e-14),
     (0.3, 2.5, 25, 2e-13),

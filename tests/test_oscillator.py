@@ -159,6 +159,15 @@ def test_qdiff_discrete2():
     assert qdiff_residual_discrete2(4, 0.5, X_GRID, perturb_lhs_q=0.25) > 1e-2
 
 
+def test_qdiff_discrete2_raises_where_the_monic_values_overflow():
+    """At q = 0.05 the monic values at x / q leave double range from n = 23; the residual is then
+    NaN, which a running Python max dropped, so it read 0.0."""
+    assert qdiff_residual_discrete2(22, 0.05, X_GRID) < 1e-8
+    with pytest.raises(OverflowError, match=r"lattice difference residual overflows double range at degree n = 23, "
+                                            r"q = 0\.05"):
+        qdiff_residual_discrete2(23, 0.05, X_GRID)
+
+
 @pytest.mark.parametrize("q,worst,control", [
     (0.3, "0x1.27af030b5e8fap-49", "0x1.382fb1f4138b5p-6"),
     (0.5, "0x1.700d3be1cd3a3p-49", "0x1.1111111111172p-4"),
