@@ -30,11 +30,11 @@ from .qcore import (
     _POWER_TABLE_MAX,
     QParam,
     _power_table,
+    _q_powers,
+    _terms_above_cutoff,
     as_qparam,
     e_q_gaussian,
-    e_q_reciprocal,
     e_q_tilde,
-    jackson_integral,
     q_factorial,
     q_number,
     q_pochhammer,
@@ -183,20 +183,23 @@ def eigen_residual(state: CoherentStateExpansion) -> float:
 
 def overlap(
     family: FamilyDescriptor,
-    z1: complex,
-    z2: complex,
-) -> complex:
+    z1,
+    z2,
+):
     """Un-normalized overlap <z1|z2> of two continuous-family states.
 
     Closed form e~_q((1-q) conj(z1) z2); the lattice family has no closed
-    overlap here (sum its coefficients directly instead).
+    overlap here (sum its coefficients directly instead).  z1 and z2 may
+    be ndarrays: the overlaps of their broadcast pairs, as one e_q_tilde call.
     """
     if family.kind is not Family.ROGERS:
         raise UnsupportedFamily("closed-form overlap is available for the continuous family only")
     q = family.q.q
     r = rogers_radius(q)
-    if abs(z1) >= r or abs(z2) >= r:
+    if not (np.all(abs(z1) < r) and np.all(abs(z2) < r)):  # NaN fails too
         raise DomainError(f"overlap needs |z1|, |z2| < {r}")
+    if isinstance(z1, np.ndarray) or isinstance(z2, np.ndarray):
+        return e_q_tilde(np.asarray((1.0 - q) * np.conj(z1) * z2, dtype=complex), family.q)
     return complex(e_q_tilde((1.0 - q) * complex(z1).conjugate() * complex(z2), family.q))
 
 
@@ -220,16 +223,17 @@ def closed_form_rogers_cs(
 
 def closed_form_discrete2_cs(
     z: complex,
-    x: float,
+    x,
     q: QParam | float,
-) -> complex:
+):
     """Lattice-family state value from its product-times-series closed form.
 
     The series factor must carry the standard 1-phi-1 normalization (the
     extra (-1)^k q^binom(k,2)); the plain Pochhammer-ratio reading does not
     reproduce the state.  The overall scale divides by the entire
     q-exponential of z^2 and is NOT the unit-norm convention, so compare
-    against expansions only up to an x-independent factor.
+    against expansions only up to an x-independent factor.  x may be a
+    real ndarray, one series element per point.
     """
     qp = as_qparam(q)
     q_ = qp.q
@@ -273,16 +277,25 @@ def radius_estimate(coeff_norms: Sequence[float]) -> RadiusReport:
 
 
 def _resolution_moments(nmax: int, qp: QParam) -> list[float]:
-    """The resolution-of-unity moments I_n, the Jackson integrals of
-    x^n / e_q(qx) over [0, 1/(1-q)], for n = 0..nmax from one Jackson pass,
-    each equal bit for bit to its own integral (np.float_power is the pow
-    of Python's x**n)."""
-    orders, a = np.arange(nmax + 1.0), 1.0 / (1.0 - qp.q)
-    return jackson_integral(lambda x: e_q_reciprocal(qp.q * x, qp) * np.float_power(x, orders), a, qp).tolist()
+    """The resolution-of-unity moments I_n = sum_k w_k x_k^n for n = 0..nmax, the Jackson
+    integrals of x^n / e_q(qx) over [0, 1/(1-q)]: x_k = q^k / (1-q), w_k = q^k (q^{k+1}; q)_inf.
+    log (q^{k+1}; q)_inf = sum_{j>k} log1p(-q^j) is one reverse cumulative sum over the J
+    factors q^j >= 1e-18 of q_pochhammer's cutoff.  Past them w_k is q^k to double precision
+    and x_k^n < (1e-18/(1-q))^n: one point x = 0 of weight q^J / (1-q), seen by n = 0 only.
+    """
+    q = qp.q
+    big_j = _terms_above_cutoff(q, 1.0)
+    if big_j > 10 * _MAX_TERMS:  # q_pochhammer's cap on its factor count
+        raise ConvergenceError(f"Jackson moment sum: {big_j} lattice points, more than {10 * _MAX_TERMS}")
+    p = _q_powers(q, 0, big_j)
+    log_tail = np.append(np.cumsum(np.log1p(-p[:0:-1]))[::-1], 0.0)
+    moments = np.float_power(p / (1.0 - q), np.arange(nmax + 1.0)[:, None]) @ (p * np.exp(log_tail))
+    moments[0] += q**big_j / (1.0 - q)
+    return moments.tolist()
 
 
 def resolution_moment_profile(nmax: int, q: QParam | float) -> list[tuple[float, float]]:
-    """Moments 0..nmax next to their targets [n]_q!, from one Jackson pass."""
+    """Moments 0..nmax next to their targets [n]_q!, from one finite lattice sum."""
     qp = as_qparam(q)
     if nmax < 0:
         raise DomainError("nmax must be non-negative")
@@ -290,7 +303,7 @@ def resolution_moment_profile(nmax: int, q: QParam | float) -> list[tuple[float,
 
 
 def _moment_recurrence_defects(nmax: int, q: QParam | float, bases) -> list[float]:
-    """moment_recurrence_check's defect for each factor base, all from one Jackson pass."""
+    """moment_recurrence_check's defect for each factor base, all from one lattice sum."""
     qp = as_qparam(q)
     if nmax < 1:
         raise DomainError("recurrence check needs nmax >= 1")
@@ -308,8 +321,8 @@ def moment_recurrence_check(
 ) -> float:
     """Max relative defect of the moment recursion I_n = [n]_q I_{n-1}.
 
-    Each I_n is its own Jackson integral, so this check is independent of
-    the closed form [n]_q!.  perturb_base swaps the factor [n]_q for
-    [n]_{q'} as a negative control.
+    The I_n are Jackson integrals summed over the lattice, so this check is
+    independent of the closed form [n]_q!.  perturb_base swaps the factor
+    [n]_q for [n]_{q'} as a negative control.
     """
     return _moment_recurrence_defects(nmax, q, (q if perturb_base is None else perturb_base,))[0]

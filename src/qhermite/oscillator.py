@@ -188,9 +188,23 @@ def hamiltonian_form_ratio(source: BnSequence, q: QParam | float, dim: int) -> t
 
 def _rogers_weight_u(u: np.ndarray, q: float) -> np.ndarray:
     """Analytic continuation of the Rogers measure density in u = e^{i theta}:
-    (u^2;q)_inf (u^-2;q)_inf / sin(theta), constants dropped."""
-    w = q_pochhammer(u * u, q, math.inf) * q_pochhammer(1.0 / (u * u), q, math.inf)
-    return w * 2j / (u - 1.0 / u)
+    (u^2;q)_inf (u^-2;q)_inf / sin(theta), constants dropped.  Near q = 1 the
+    products leave double range; a weight that is not finite raises OverflowError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = q_pochhammer(u * u, q, math.inf) * q_pochhammer(1.0 / (u * u), q, math.inf) * 2j / (u - 1.0 / u)
+    if not np.isfinite(w).all():
+        raise OverflowError(f"Rogers weight (u^2;q)_inf (u^-2;q)_inf / sin(theta) is not finite at q = {q!r}")
+    return w
+
+
+def _degree_list(n: int | Sequence[int]) -> list[int]:
+    """[n] for one degree, else the degrees of the sequence n; DomainError if empty or negative."""
+    degrees = [n] if isinstance(n, numbers.Integral) else list(n)
+    if not degrees:
+        raise DomainError("degree sequence must be non-empty")
+    if min(degrees) < 0:
+        raise DomainError("degree must be non-negative")
+    return degrees
 
 
 def qdiff_residual_rogers(
@@ -213,11 +227,7 @@ def qdiff_residual_rogers(
     """
     qp = as_qparam(q)
     q_ = qp.q
-    degrees = [n] if isinstance(n, numbers.Integral) else list(n)
-    if not degrees:
-        raise DomainError("degree sequence must be non-empty")
-    if min(degrees) < 0:
-        raise DomainError("degree must be non-negative")
+    degrees = _degree_list(n)
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.size == 0:
         raise DomainError("theta grid must be non-empty")
@@ -248,7 +258,7 @@ def qdiff_residual_rogers(
 
 
 def qdiff_residual_discrete2(
-    n: int,
+    n: int | Sequence[int],
     q: QParam | float,
     x_grid: Sequence[float],
     perturb_lhs_q: float | None = None,
@@ -258,23 +268,27 @@ def qdiff_residual_discrete2(
 
     for the monic type-II polynomials; the shifts step one rung along the
     geometric lattice.  perturb_lhs_q replaces q by another value in the
-    left-hand factor (1-q^n) as a negative control.  x, x/q and qx take one
-    recurrence pass; a residual that is not finite, where the monic values
-    leave double range, raises the family's OverflowError naming n and q.
+    left-hand factor (1-q^n) as a negative control.  n may be a sequence of
+    degrees, as in qdiff_residual_rogers.  x, x/q and qx take one recurrence
+    pass up to the largest degree; a residual that is not finite, where the
+    monic values leave double range, raises the family's OverflowError
+    naming the first such degree and q.
     """
     q_ = as_qparam(q).q
-    if n < 0:
-        raise DomainError("degree must be non-negative")
+    degrees = _degree_list(n)
     q_lhs = q_ if perturb_lhs_q is None else perturb_lhs_q
     x = np.asarray(x_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
         grids = np.stack([x, x / q_, q_ * x])  # at n = 0 the recurrence gives the scalar 1.0
-        h_here, h_over_q, h_times_q = np.broadcast_to(polyfam.discrete2_eval_monic(n, grids, q_), grids.shape)
-        lhs = -(1.0 - q_lhs**n) * x * x * h_here
+        hs = list(polyfam._monic_sequence(Family.DISCRETE_II, max(degrees), grids, q_))
+        h_here, h_over_q, h_times_q = np.array([np.broadcast_to(hs[m], grids.shape) for m in degrees]).swapaxes(0, 1)
+        lhs = -np.array([[1.0 - q_lhs**m] for m in degrees]) * x * x * h_here
         rhs = q_ * h_over_q - (1.0 + q_ + x * x) * h_here + (1.0 + x * x) * h_times_q
-        worst = np.max(np.abs(lhs - rhs), initial=0.0)
-        scale = np.max(np.maximum(np.abs((1.0 - q_**n) * x * x * h_here), np.abs(h_here)), initial=0.0)
-        residual = float(worst / max(scale, 1.0))
-    if not math.isfinite(residual):
-        raise polyfam._discrete2_overflow("lattice difference residual", n, q_)
-    return residual
+        worst = np.max(np.abs(lhs - rhs), axis=1, initial=0.0)
+        factor = np.array([[1.0 - q_**m] for m in degrees])
+        scale = np.max(np.maximum(np.abs(factor * x * x * h_here), np.abs(h_here)), axis=1, initial=0.0)
+        residual = worst / np.maximum(scale, 1.0)
+    finite = np.isfinite(residual)
+    if not finite.all():
+        raise polyfam._discrete2_overflow("lattice difference residual", degrees[finite.argmin()], q_)
+    return float(np.max(residual))

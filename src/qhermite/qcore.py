@@ -275,46 +275,76 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
     return prod
 
 
-def _euler_product(a: Scalar, qp: QParam, what: str, x: Scalar) -> Scalar:
-    """(a; q)_inf = 1 / what(x); OverflowError where it is subnormal (its digits lost,
-    from q ~ 0.9977 near the edge of the disc), 0 or not finite."""
-    prod = q_pochhammer(a, qp, math.inf)
-    if not sys.float_info.min <= abs(prod) < math.inf:
-        raise OverflowError(f"{what} Euler product leaves the normal double range at x = {x!r}, q = {qp.q!r}")
+def _first_failing(ok, x):
+    """None where ok holds; else x, or for an ndarray ok the first element of x where it fails."""
+    if ok is True:
+        return None
+    if isinstance(ok, np.ndarray):
+        return None if ok.all() else np.asarray(x).flat[ok.argmin()].item()
+    return None if ok else x
+
+
+def _euler_product(a, qp: QParam, what: str, x):
+    """(a; q)_inf = 1 / what(x), per element for an ndarray; OverflowError naming the first x
+    where it is subnormal (its digits lost, from q ~ 0.9977 near the edge of the disc), 0 or not finite."""
+    if isinstance(a, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):  # an element out of range raises below
+            prod = q_pochhammer(a, qp, math.inf)
+    else:
+        prod = q_pochhammer(a, qp, math.inf)
+    size = abs(prod)
+    bad = _first_failing((sys.float_info.min <= size) & (size < math.inf), x)
+    if bad is not None:
+        raise OverflowError(f"{what} Euler product leaves the normal double range at x = {bad!r}, q = {qp.q!r}")
     return prod
 
 
-def _e_q_product(x: Scalar, qp: QParam) -> Scalar:
+def _e_q_product(x, qp: QParam):
     """((1-q) x; q)_inf = 1 / e_q(x), for x inside e_q's disc |x| < 1/(1-q)."""
-    if abs(x) >= 1.0 / (1.0 - qp.q):
-        raise DomainError(f"e_q requires |x| < 1/(1-q) = {1.0 / (1.0 - qp.q)}, got |x| = {abs(x)}")
+    radius = 1.0 / (1.0 - qp.q)
+    bad = _first_failing(abs(x) < radius, x)
+    if bad is not None:
+        raise DomainError(f"e_q requires |x| < 1/(1-q) = {radius}, got |x| = {abs(bad)}")
     return _euler_product((1.0 - qp.q) * x, qp, "e_q", x)
 
 
-def e_q_tilde(x: Scalar, q: QParam | float) -> Scalar:
-    """q-exponential sum_n x^n / (q;q)_n for |x| < 1, as Euler's product 1 / (x; q)_inf."""
+def e_q_tilde(x, q: QParam | float):
+    """q-exponential sum_n x^n / (q;q)_n for |x| < 1, as Euler's product
+    1 / (x; q)_inf; x may be an ndarray, as in e_q."""
     qp = as_qparam(q)
-    if abs(x) >= 1.0:
-        raise DomainError(f"e_q_tilde requires |x| < 1, got |x| = {abs(x)}")
+    bad = _first_failing(abs(x) < 1.0, x)
+    if bad is not None:
+        raise DomainError(f"e_q_tilde requires |x| < 1, got |x| = {abs(bad)}")
     return 1.0 / _euler_product(x, qp, "e_q_tilde", x)
 
 
-def e_q(x: Scalar, q: QParam | float) -> Scalar:
-    """q-exponential sum_n x^n / [n]_q! for |x| < 1/(1-q), as Euler's product 1 / ((1-q) x; q)_inf."""
+def e_q(x, q: QParam | float):
+    """q-exponential sum_n x^n / [n]_q! for |x| < 1/(1-q), as Euler's product 1 / ((1-q) x; q)_inf.
+
+    x may be an ndarray: one product, with the factor count of its largest
+    |x|.  The further factors of a smaller real x are exactly 1.0, so a real
+    array equals the scalar calls bit for bit, and a complex one agrees to a
+    few ulps.  A DomainError or OverflowError names the first bad element.
+    """
     return 1.0 / _e_q_product(x, as_qparam(q))
 
 
-def e_q_reciprocal(x: float, q: QParam | float) -> float:
+def e_q_reciprocal(x, q: QParam | float):
     """1 / e_q(x) = ((1-q) x; q)_inf on [0, 1/(1-q)], with the boundary value pinned to 0.
 
     e_q diverges at the right endpoint of its domain, so its reciprocal
     extends continuously by 0 there; the Jackson-measure moment identities
     need exactly that endpoint value.  The product is returned as it is.
+    x may be a real ndarray, as in e_q, each element pinned on its own.
     """
     qp = as_qparam(q)
     radius = 1.0 / (1.0 - qp.q)
-    if x > radius:
-        raise DomainError(f"e_q_reciprocal requires x <= 1/(1-q) = {radius}")
+    bad = _first_failing(x <= radius, x)
+    if bad is not None:
+        raise DomainError(f"e_q_reciprocal requires x <= 1/(1-q) = {radius}, got x = {bad!r}")
+    if isinstance(x, np.ndarray):  # math.isclose per element
+        pinned = abs(x - radius) <= 1e-14 * np.maximum(abs(x), radius)
+        return np.where(pinned, 0.0, _e_q_product(np.where(pinned, 0.0, x), qp))[()]  # 0-d: a numpy scalar
     if math.isclose(x, radius, rel_tol=1e-14):
         return 0.0
     return _e_q_product(x, qp)
@@ -345,10 +375,10 @@ def e_q_gaussian(x: Scalar, q: QParam | float) -> Scalar:
     return _sum_series(terms(), "e_q_gaussian series")
 
 
-def q_derivative(f: Callable[[float], float], x: float, q: QParam | float) -> float:
-    """(f(x) - f(qx)) / (x (1-q)); undefined at x = 0."""
+def q_derivative(f: Callable, x, q: QParam | float):
+    """(f(x) - f(qx)) / (x (1-q)) for a scalar or ndarray x (f then maps arrays); undefined at x = 0."""
     qq = as_qparam(q).q
-    if x == 0:
+    if (x == 0).any() if isinstance(x, np.ndarray) else x == 0:
         raise DomainError("q_derivative is undefined at x = 0")
     return (f(x) - f(qq * x)) / (x * (1.0 - qq))
 

@@ -69,47 +69,39 @@ def suite_qcore(q: float = 0.5, seed: int = 1234) -> VerificationReport:
             worst = max(worst, abs(prod - fac) / fac)
     checks.append(_below("q-factorial equals running q-number product (n<=30)", worst, 1e-12))
 
-    worst = 0.0
-    for _ in range(100):
-        x = complex(*rng.uniform(-0.7, 0.7, 2)) / (1.0 - q)
-        lhs = 1.0 / e_q(x, q)  # Euler's product ((1-q)x; q)_inf against its series
-        rhs = polyfam.phi_1_1(0.0, 0.0, q, (1.0 - q) * x)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    checks.append(_below("1/e_q(x) equals 1phi1(0;0;q,(1-q)x) on 100 random points", worst, 1e-12))
+    x = rng.uniform(-0.7, 0.7, (100, 2)).view(complex)[:, 0] / (1.0 - q)
+    lhs = 1.0 / e_q(x, q)  # Euler's product ((1-q)x; q)_inf against its series
+    rhs = polyfam.phi_1_1(0.0, 0.0, q, (1.0 - q) * x)
+    checks.append(_below("1/e_q(x) equals 1phi1(0;0;q,(1-q)x) on 100 random points",
+                         np.max(abs(lhs - rhs) / abs(lhs), initial=0.0), 1e-12))
 
-    worst = 0.0
-    for _ in range(50):
-        cu = rng.uniform(-1, 1, 4).tolist()  # Python floats: the same values, without numpy scalar arithmetic
-        cv = rng.uniform(-1, 1, 4).tolist()
-        x = float(rng.uniform(0.2, 1.5))
-        u = lambda t, c=cu: sum(ci * t**i for i, ci in enumerate(c))
-        v = lambda t, c=cv: sum(ci * t**i for i, ci in enumerate(c))
-        lhs = q_derivative(lambda t: u(t) * v(t), x, q)
-        rhs = u(x) * q_derivative(v, x, q) + v(q * x) * q_derivative(u, x, q)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    checks.append(_below("q-Leibnitz rule on random polynomials", worst, 1e-12))
+    # the 50 draws of rng.uniform(-1, 1, 4) twice and rng.uniform(0.2, 1.5) each, as uniform scales them;
+    # every power is np.float_power, libm's pow as Python's t**i
+    draws = rng.random((50, 9))
+    cu, cv, x = -1.0 + 2.0 * draws[:, :4], -1.0 + 2.0 * draws[:, 4:8], 0.2 + (1.5 - 0.2) * draws[:, 8]
+    u = lambda t: sum(cu[:, i] * np.float_power(t, i) for i in range(4))
+    v = lambda t: sum(cv[:, i] * np.float_power(t, i) for i in range(4))
+    lhs = q_derivative(lambda t: u(t) * v(t), x, q)
+    rhs = u(x) * q_derivative(v, x, q) + v(q * x) * q_derivative(u, x, q)
+    checks.append(_below("q-Leibnitz rule on random polynomials",
+                         np.max(abs(lhs - rhs) / np.maximum(1.0, abs(lhs)), initial=0.0), 1e-12))
 
-    worst = 0.0
+    # the 49 monomial pairs u = t^m, v = t^k, m, k <= 6, each integral an element of one lattice sum
+    m, k = (e.ravel().astype(float) for e in np.meshgrid(range(7), range(7), indexing="ij"))
     a = 1.0
-    for mdeg in range(7):
-        for kdeg in range(7):
-            u = lambda t, m=mdeg: t**m
-            v = lambda t, k=kdeg: t**k
-            lhs = jackson_integral(lambda t: u(t) * q_derivative(v, t, q) if kdeg else 0.0, a, q)
-            boundary = u(a) * v(a) - (1.0 if mdeg == 0 and kdeg == 0 else 0.0)
-            rhs = boundary - jackson_integral(
-                lambda t: v(q * t) * q_derivative(u, t, q) if mdeg else 0.0, a, q
-            )
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    checks.append(_below("Jackson integration by parts, monomials deg<=6", worst, 1e-10))
+    u = lambda t: np.float_power(t, m)
+    v = lambda t: np.float_power(t, k)
+    lhs = jackson_integral(lambda t: u(t) * q_derivative(v, t, q), a, q)
+    boundary = u(a) * v(a) - ((m == 0) & (k == 0))
+    rhs = boundary - jackson_integral(lambda t: v(q * t) * q_derivative(u, t, q), a, q)
+    checks.append(_below("Jackson integration by parts, monomials deg<=6",
+                         np.max(abs(lhs - rhs) / np.maximum(1.0, abs(lhs)), initial=0.0), 1e-10))
 
-    worst = 0.0
-    radius = 1.0 / (1.0 - q)
-    for x in np.linspace(0.05, 0.95, 10) * radius:
-        lhs = q_derivative(lambda t: e_q_reciprocal(t, q), float(x), q)
-        rhs = -e_q_reciprocal(q * float(x), q)
-        worst = max(worst, abs(lhs - rhs) / max(1e-3, abs(rhs)))
-    checks.append(_below("reciprocal q-exponential derivative identity", worst, 1e-10))
+    x = np.linspace(0.05, 0.95, 10) * (1.0 / (1.0 - q))
+    lhs = q_derivative(lambda t: e_q_reciprocal(t, q), x, q)
+    rhs = -e_q_reciprocal(q * x, q)
+    checks.append(_below("reciprocal q-exponential derivative identity",
+                         np.max(abs(lhs - rhs) / np.maximum(1e-3, abs(rhs)), initial=0.0), 1e-10))
     return VerificationReport("qcore", tuple(checks))
 
 
@@ -220,7 +212,7 @@ def suite_qdiff(q: float = 0.5, nmax: int = 8) -> VerificationReport:
     thetas = np.linspace(0.1, math.pi - 0.1, 20)
     xs = (-2.0, -1.0, 0.5, 1.0, 3.0)
     worst_r = oscillator.qdiff_residual_rogers(range(nmax + 1), q, thetas)
-    worst_d = max(oscillator.qdiff_residual_discrete2(n, q, xs) for n in range(nmax + 1))
+    worst_d = oscillator.qdiff_residual_discrete2(range(nmax + 1), q, xs)
     ctrl_r = oscillator.qdiff_residual_rogers(3, q, thetas, perturb_order=4)
     ctrl_d = oscillator.qdiff_residual_discrete2(4, q, xs, perturb_lhs_q=q * q)
     return VerificationReport(
@@ -278,9 +270,8 @@ def suite_coherent(q: float = 0.5, seed: int = 1234) -> VerificationReport:
     for z in (0.5, 1.0):
         state = coherent.bg_expansion(polyfam.discrete2(q), z)
         series = state.coefficients @ polyfam.eval_orthonormal_sequence(polyfam.discrete2(q), state.dim - 1, xs)
-        ratios = [coherent.closed_form_discrete2_cs(z, float(x), q) / ser for x, ser in zip(xs, series)]
-        spread = max(abs(r / ratios[0] - 1.0) for r in ratios)
-        worst = max(worst, spread)
+        ratios = coherent.closed_form_discrete2_cs(z, xs, q) / series
+        worst = max(worst, float(np.max(abs(ratios / ratios[0] - 1.0))))
     checks.append(_below("lattice closed form x-independence of ratio", worst, 1e-8))
     return VerificationReport("coherent", tuple(checks))
 
@@ -289,7 +280,7 @@ def suite_overlap(q: float = 0.5, seed: int = 1234) -> VerificationReport:
     rng = np.random.default_rng(seed)
     radius = coherent.rogers_radius(q)
     fam = polyfam.rogers(q)
-    worst = 0.0
+    coeff_sums, pairs = [], []
     for _ in range(50):
         z1, z2 = (
             complex(rng.uniform(0.05, 0.9) * radius * np.exp(2j * math.pi * rng.uniform()))
@@ -299,9 +290,10 @@ def suite_overlap(q: float = 0.5, seed: int = 1234) -> VerificationReport:
         s2 = coherent.bg_expansion(fam, z2)
         n = min(s1.dim, s2.dim)
         coeff_sum = complex(np.sum(np.conj(s1.coefficients[:n]) * s2.coefficients[:n]))
-        coeff_sum *= math.sqrt(s1.norm_sq_closed * s2.norm_sq_closed)
-        closed = coherent.overlap(fam, z1, z2)
-        worst = max(worst, abs(coeff_sum - closed) / abs(closed))
+        coeff_sums.append(coeff_sum * math.sqrt(s1.norm_sq_closed * s2.norm_sq_closed))
+        pairs.append((z1, z2))
+    closed = coherent.overlap(fam, *np.array(pairs).T)
+    worst = np.max(abs(np.array(coeff_sums) - closed) / abs(closed))
     return VerificationReport(
         "overlap", (_below("closed-form overlap vs coefficient sum, 50 pairs", worst, 1e-10),)
     )

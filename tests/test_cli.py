@@ -417,6 +417,22 @@ def test_a_lattice_past_double_range_exits_2_with_a_named_error(args, message, c
     assert captured.err == f"qhermite: numerical error: {message}\n"
 
 
+@pytest.mark.parametrize("q", ["0.99", "0.995", "0.998", "0.999"])
+def test_jackson_suite_passes_near_q_one(q, capsys):
+    """The moments are one finite lattice sum; the walk raised OverflowError from q ~ 0.998 on."""
+    assert cli.main(["verify", "--suite=jackson", f"--q={q}"]) == 0
+
+
+def test_qdiff_suite_at_q_0_999_exits_2_with_no_warning():
+    """The Rogers weight overflows there; it ended in a RuntimeWarning traceback under -W error, and
+    printed NaN rows without it."""
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qhermite", "verify", "--suite=qdiff",
+                           "--q=0.999"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("qhermite: numerical error: Rogers weight (u^2;q)_inf (u^-2;q)_inf / sin(theta) is not "
+                           "finite at q = 0.999\n")
+
+
 @pytest.mark.parametrize("suite", ["jackson", "moments"])
 def test_moment_suites_pass_at_q_0_99(suite, capsys):
     """At q = 0.99 e_q's power series needs more than 10,000 terms; Euler's product does not."""

@@ -161,11 +161,42 @@ def test_qdiff_discrete2():
 
 def test_qdiff_discrete2_raises_where_the_monic_values_overflow():
     """At q = 0.05 the monic values at x / q leave double range from n = 23; the residual is then
-    NaN, which a running Python max dropped, so it read 0.0."""
+    NaN, which a running Python max dropped, so it read 0.0.  A degree sequence names the first
+    such degree."""
     assert qdiff_residual_discrete2(22, 0.05, X_GRID) < 1e-8
-    with pytest.raises(OverflowError, match=r"lattice difference residual overflows double range at degree n = 23, "
-                                            r"q = 0\.05"):
-        qdiff_residual_discrete2(23, 0.05, X_GRID)
+    for n in (23, range(31), [5, 30, 23, 24]):
+        with pytest.raises(OverflowError, match=r"lattice difference residual overflows double range at degree "
+                                                rf"n = {23 if n == 23 else next(m for m in n if m >= 23)}, q = 0\.05"):
+            qdiff_residual_discrete2(n, 0.05, X_GRID)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+@pytest.mark.parametrize("nmax", [8, 20])
+def test_qdiff_discrete2_degree_sequence_is_the_max_of_single_degree_calls_bit_for_bit(q, nmax):
+    """One monic pass up to the largest degree, each degree normalized on its own."""
+    for degrees in (range(nmax + 1), [nmax], (nmax, 2, 0), np.arange(3, 6)):
+        for perturb in (None, q * q):
+            try:
+                want = max(qdiff_residual_discrete2(int(n), q, X_GRID, perturb_lhs_q=perturb) for n in degrees)
+            except OverflowError as exc:
+                with pytest.raises(OverflowError, match=f"^{str(exc)}$"):
+                    qdiff_residual_discrete2(degrees, q, X_GRID, perturb_lhs_q=perturb)
+            else:
+                assert qdiff_residual_discrete2(degrees, q, X_GRID, perturb_lhs_q=perturb).hex() == want.hex()
+    with pytest.raises(DomainError, match="non-empty"):
+        qdiff_residual_discrete2([], q, X_GRID)
+    with pytest.raises(DomainError, match="non-negative"):
+        qdiff_residual_discrete2([2, -1], q, X_GRID)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [0.998, 0.999])
+def test_qdiff_rogers_raises_where_its_weight_leaves_double_range(q):
+    """Near q = 1 the Rogers weight's two infinite products overflow; the residual read NaN, with
+    numpy warnings on the way."""
+    with pytest.raises(OverflowError, match=rf"^Rogers weight \(u\^2;q\)_inf \(u\^-2;q\)_inf / sin\(theta\) "
+                                            rf"is not finite at q = {q}$"):
+        qdiff_residual_rogers(range(9), q, THETA_GRID)
 
 
 @pytest.mark.parametrize("q,worst,control", [

@@ -206,6 +206,80 @@ def test_q_exponentials_raise_where_the_product_leaves_the_normal_range(fn, x):
         fn(x, 0.999)
 
 
+def _radius(fn, q):
+    return 1.0 if fn is e_q_tilde else 1.0 / (1.0 - q)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("fn", [e_q, e_q_tilde, e_q_reciprocal])
+def test_q_exponentials_on_real_arrays_equal_the_scalar_calls_bit_for_bit(fn, q):
+    """One product over the array takes the factor count of its largest |x|; the further factors of
+    a smaller real x are 1 - (tiny) = 1.0 exactly."""
+    rng = np.random.default_rng(11)
+    r = _radius(fn, q)
+    x = rng.uniform(0.0 if fn is e_q_reciprocal else -0.95, 0.95, 40) * r
+    x[:3] = 0.0, 1e-12 * r, 0.95 * r  # the smallest and largest magnitudes set the factor counts apart
+    for xs in (x, x.reshape(5, 8), x[:1], x[::7]):
+        got = fn(xs, q)
+        want = np.array([fn(float(t), q) for t in xs.ravel()]).reshape(xs.shape)
+        assert got.shape == xs.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+@pytest.mark.parametrize("fn", [e_q, e_q_tilde])
+def test_q_exponentials_on_complex_arrays_agree_with_the_scalar_calls(fn, q):
+    """numpy's complex product rounds otherwise than CPython's, and a complex factor 1 - a q^s past an
+    element's own cutoff is not exactly 1: within (8 + 4/(1-q)) ulps, as both paths lose digits in
+    proportion to their factor count (measured 4.4 ulps at q = 0.05 to 48 at 0.95)."""
+    rng = np.random.default_rng(5)
+    z = _radius(fn, q) * rng.uniform(0.0, 0.9, 200) * np.exp(2j * math.pi * rng.uniform(size=200))
+    want = np.array([fn(complex(t), q) for t in z])
+    assert np.max(abs(fn(z, q) - want) / abs(want)) <= (8.0 + 4.0 / (1.0 - q)) * 2.0**-52
+
+
+@pytest.mark.parametrize("fn,x,message", [
+    (e_q, np.array([0.5, -2.0, 2.5]), r"^e_q requires \|x\| < 1/\(1-q\) = 2\.0, got \|x\| = 2\.0$"),
+    (e_q, np.array([[0.5, 0.0], [1.0, 3j]]), r"^e_q requires \|x\| < 1/\(1-q\) = 2\.0, got \|x\| = 3\.0$"),
+    (e_q, np.array([0.5, np.nan]), r"^e_q requires \|x\| < 1/\(1-q\) = 2\.0, got \|x\| = nan$"),
+    (e_q_tilde, np.array([0.1, 0.6j, -1.5, 2.0]), r"^e_q_tilde requires \|x\| < 1, got \|x\| = 1\.5$"),
+    (e_q_reciprocal, np.array([0.0, 2.5, 3.0]), r"^e_q_reciprocal requires x <= 1/\(1-q\) = 2\.0, got x = 2\.5$"),
+    (e_q_reciprocal, np.array([1.0, -2.0]), r"^e_q requires \|x\| < 1/\(1-q\) = 2\.0, got \|x\| = 2\.0$"),
+])
+def test_q_exponentials_on_arrays_name_the_first_element_out_of_domain(fn, x, message):
+    with pytest.raises(DomainError, match=message):
+        fn(x, 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning on the way to the error
+def test_q_exponentials_on_arrays_name_the_first_element_out_of_range():
+    with pytest.raises(OverflowError, match=r"^e_q Euler product leaves the normal double range at "
+                                            r"x = 999\.0, q = 0\.999$"):
+        e_q(np.array([0.5, 999.0, -999.0]), 0.999)
+    with pytest.raises(OverflowError, match=r"^e_q_tilde Euler product .* at x = -0\.999, q = 0\.999$"):
+        e_q_tilde(np.array([0.5, -0.999, 0.999]), 0.999)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_e_q_reciprocal_array_pins_each_endpoint_element_to_zero(q):
+    radius = 1.0 / (1.0 - q)
+    x = np.array([0.5 * radius, radius, radius * (1.0 - 5e-15), radius * (1.0 - 5e-13), 0.0])
+    got = e_q_reciprocal(x, q)
+    assert [math.isclose(t, radius, rel_tol=1e-14) for t in x] == [False, True, True, False, False]
+    assert got.tobytes() == np.array([e_q_reciprocal(float(t), q) for t in x]).tobytes()
+    assert got[1] == got[2] == 0.0 and got[3] > 0.0
+    for t in (0.5 * radius, radius):  # a 0-d array gives a numpy scalar, as for e_q
+        assert type(e_q_reciprocal(np.array(t), q)) is type(e_q(np.array(0.5 * radius), q)) is np.float64
+
+
+def test_q_derivative_on_an_array():
+    x = np.array([0.5, 1.0, 2.0])
+    got = q_derivative(lambda t: t**3, x, 0.5)
+    assert got.tobytes() == np.array([q_derivative(lambda t: t**3, float(t), 0.5) for t in x]).tobytes()
+    with pytest.raises(DomainError, match="^q_derivative is undefined at x = 0$"):
+        q_derivative(lambda t: t, np.array([0.5, 0.0, 1.0]), 0.5)
+
+
 def test_e_q_gaussian_examples(monkeypatch):
     assert e_q_gaussian(0.0, 0.5) == 1.0
     v1 = e_q_gaussian(1.0, 0.5)
@@ -334,11 +408,14 @@ def test_resolution_moments_near_q_one(q):
     assert max(abs(c - e) / e for c, e in profile) < 1e-8
 
 
-def test_resolution_moments_raise_where_the_lattice_weights_are_subnormal():
-    """At q = 0.998 the weights 1/e_q(qx) at the end of the lattice are subnormal and read 1.5e-323,
-    1.5e-323, 2e-323: three small terms that do not rise, which would give moments near 0."""
-    with pytest.raises(OverflowError, match=r"^e_q Euler product leaves the normal double range"):
-        resolution_moment_profile(15, 0.998)
+@pytest.mark.parametrize("q", [0.998, 0.999])
+def test_resolution_moments_where_the_lattice_weights_are_subnormal(q):
+    """From q ~ 0.998 the weights 1/e_q(qx) at the outer end of the lattice are subnormal, so no walk
+    can sum them; the lattice sum's log-weights stay in range.  Exponentiating a log of size
+    pi^2 / (6 (1-q)) costs digits in proportion, so the bound is u / (1-q): 5.6e-14 and 1.1e-13,
+    against 1.2e-14 and 3.5e-14 measured."""
+    bound = 2.0**-53 / (1.0 - q)
+    assert max(abs(c - e) / e for c, e in resolution_moment_profile(15, q)) < bound
 
 
 @given(
