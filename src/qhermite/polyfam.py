@@ -576,67 +576,57 @@ def _reduced_scale(c: float, q: float) -> float:
 def _discrete2_gram(family: FamilyDescriptor, nmax: int) -> np.ndarray:
     """Unnormalized Gram sum over the lattice {+-c q^k}, c reduced into (q, 1].
 
-    x_k = c q^k has weight exp(-L_k), L_k = sum_{t >= k} log1p(x_t^2).  The
-    positive side is finite: its T points x_t >= 1e-9, then one point x = 0
-    of weight q^T / (1 - q) = sum_{t >= T} q^t, exact to double precision as
+    x_k = c q^k has weight w_k = exp(-L_k), L_k = sum_{t >= k} log1p(x_t^2),
+    and the sum runs over the finite lattice k = -M, ..., T-1 plus one point.
+    The positive side is its T points x_t >= 1e-9, then one point x = 0 of
+    weight q^T / (1 - q) = sum_{t >= T} q^t, exact to double precision as
     L_t < 1e-18 there and p_i p_j of even i + j is p_i(0) p_j(0) + O(x_t^2).
-    The negative side, k = -1, -2, ..., runs L on outward in blocks whose
-    magnitudes max_j w q^k p_j(x_k)^2 go through _sum_series's stop rule; a
-    block's points past the stop are discarded.  Each block adds S S^T, S =
-    p(x_k) sqrt(w q^k), exactly symmetric; as p_j(-x) = (-1)^j p_j(x)
-    exactly, -x_k doubles the entries of even i + j and cancels the others.
+
+    The negative side ends at M = nmax + 1 + ceil(sqrt(1 + (ln 1e18 +
+    nmax ln(4/(1-q))) / ln(1/q))), past which every term is below 1e-18.
+    At x = c q^-m, m > nmax: as log1p(y) >= log y, L_-m >= sum_{i=1..m}
+    log(c^2 q^-2i), so w q^-m <= q^(m^2) c^(-2m).  The orthonormal step
+    gives |p_{i+1}| <= max(|p_i|, |p_{i-1}|) (x + b_{i-1}) / b_i, and with
+    b_{i-1} <= q^(-i+1/2), b_i >= q^(-i-1/2) sqrt(1-q) and c > q the
+    factor is at most 2 c q^(i+1/2-m) / sqrt(1-q), above 1 for i < m - 1;
+    so |p_j|^2 <= 4^j c^(2j) q^(j^2-2jm) / (1-q)^j.  With c^-2 < q^-2 a term
+    of degree j <= nmax is at most q^(d^2-2d) (4/(1-q))^nmax, d = m - nmax,
+    which is below 1e-18 once (d - 1)^2 >= 1 + (ln 1e18 + nmax ln(4/(1-q)))
+    / ln(1/q); M leaves one point to spare.
+
+    L comes from one reverse cumulative sum over the lattice, with
+    log1p(x^2) taken as 2 log x above x = 1e150, where the two agree in
+    double precision and x^2 would overflow.  Points are evaluated in
+    blocks of up to 64, each adding S S^T, S = p(x_k) sqrt(w_k q^k):
+    exactly symmetric, and as p_j(-x) = (-1)^j p_j(x) exactly, -x_k doubles
+    the entries of even i + j and cancels the others.  A point or term
+    that is not finite raises ConvergenceError naming its k.
     """
     q = family.q.q
     c = _reduced_scale(family.lattice_scale, q)
     a, d = _orthonormal_coeffs(family, nmax)
     log_q = math.log(q)
     big_t = _terms_above_cutoff(q, c * 1e-9)  # the positive points c q^t >= 1e-9, x^2 >= 1e-18
-    if big_t > 10 * qcore._MAX_TERMS:  # q_pochhammer's cap on its factor count
-        raise ConvergenceError(f"type-II lattice sum: {big_t} positive points, more than {10 * qcore._MAX_TERMS}")
-    x = np.append(c * _q_powers(q, 0, big_t), 0.0)
-    big_l = np.cumsum(np.log1p(x * x)[::-1])[::-1]  # L_0, ..., L_{T-1}, and 0 at x = 0
-    expo = np.arange(big_t + 1) * log_q - big_l
-    expo[-1] -= math.log1p(-q)  # the point x = 0 stands for every t >= T
-    gram = np.zeros((nmax + 1, nmax + 1))
-    for lo in range(0, big_t + 1, _LATTICE_BLOCK_MAX):
-        vals, log_scale = _scaled_sequence(a, d, x[lo : lo + _LATTICE_BLOCK_MAX])
-        s = vals * np.exp(0.5 * (expo[lo : lo + _LATTICE_BLOCK_MAX] + 2.0 * log_scale))
-        gram += s @ s.T
-
-    def magnitudes(blocks: list) -> Iterator[float]:
-        """Yield each negative point's magnitude in walk order, appending [S, points read] per block."""
-        k, size, edge = -1, 8, big_l[0]  # edge: L_0, then L of the last point so far
-        while True:
-            ks = np.arange(k, k - size, -1)
-            with np.errstate(over="ignore"):  # float_power is libm pow, as Python's q**k
-                xs = c * np.float_power(q, ks)
-            ks, xs = ks[np.isfinite(xs)], xs[np.isfinite(xs)]  # q**k only grows as k falls
-            if not xs.size:
-                raise ConvergenceError(f"type-II lattice leaves double range at k = {k}, q = {q!r}")
-            # points past the stop may overflow to inf or nan; they are discarded unread
-            with np.errstate(over="ignore", invalid="ignore"):
-                big_l_k = edge + np.cumsum(np.log1p(xs * xs))
-                edge = big_l_k[-1]
-                vals, log_scale = _scaled_sequence(a, d, xs)
-                expo_k = ks * log_q - big_l_k + 2.0 * log_scale
-                s = vals * np.exp(0.5 * expo_k)
-                mags = np.max(s * s, axis=0).tolist()
-                over = (expo_k > 700.0).tolist()  # past math.exp's range
-            block = [s, 0]
-            blocks.append(block)
-            for i, mag in enumerate(mags):
-                if over[i]:
-                    raise ConvergenceError("type-II lattice term overflow")
-                block[1] = i + 1
-                yield mag
-            k -= xs.size
-            size = min(2 * size, _LATTICE_BLOCK_MAX)
-
-    blocks = []  # each block's columns S and the count of its points the stop rule read
-    _sum_series(magnitudes(blocks), "type-II lattice sum")
-    for s, read in blocks:
-        s = s[:, :read]
-        gram += s @ s.T
+    spread = (-math.log(qcore._PRODUCT_CUTOFF) + nmax * math.log(4.0 / (1.0 - q))) / -log_q
+    big_m = nmax + 1 + math.ceil(math.sqrt(1.0 + spread))
+    if big_m + big_t > 10 * qcore._MAX_TERMS:  # q_pochhammer's cap on its factor count
+        raise ConvergenceError(f"type-II lattice sum: {big_m + big_t} points, more than {10 * qcore._MAX_TERMS}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a point or term past double range raises below
+        x = np.append(c * _q_powers(q, -big_m, big_t), 0.0)
+        log_w = np.log1p(x * x)
+        big = x > 1e150  # where x^2 may overflow, and log1p(x^2) is 2 log x in double precision
+        log_w[big] = 2.0 * np.log(x[big])
+        expo = np.arange(-big_m, big_t + 1) * log_q - np.cumsum(log_w[::-1])[::-1]
+        expo[-1] -= math.log1p(-q)  # the point x = 0 stands for every t >= T
+        gram = np.zeros((nmax + 1, nmax + 1))
+        for lo in range(0, x.size, _LATTICE_BLOCK_MAX):
+            vals, log_scale = _scaled_sequence(a, d, x[lo : lo + _LATTICE_BLOCK_MAX])
+            s = vals * np.exp(0.5 * (expo[lo : lo + _LATTICE_BLOCK_MAX] + 2.0 * log_scale))
+            finite = np.isfinite(s).all(axis=0)
+            if not finite.all():
+                k = lo - big_m + int(finite.argmin())
+                raise ConvergenceError(f"type-II lattice term is not finite at k = {k}, q = {q!r}")
+            gram += s @ s.T
     gram[1::2, ::2] = gram[::2, 1::2] = 0.0  # the entries of odd i + j
     return 2.0 * c * (1.0 - q) * gram
 

@@ -1,14 +1,14 @@
 """The type-II lattice Gram sum against a point-by-point reference loop and
 a high-precision oracle.
 
-`_discrete2_gram` reduces the lattice scale c into (q, 1], sums the positive
-side as its points c q^t >= 1e-9 plus one point at 0 for the rest, walks the
-negative side under the series stop rule, and adds one symmetric product per
-block of points.  The reference below walks both sides of the same reduced
-lattice one point at a time, each point with its own weight product, and
-adds the points in lattice order.  The negative sides stop at the same
-point and raise at the same step, and the sums agree to within
-GRAM_REL_BOUND of the largest entry.
+`_discrete2_gram` reduces the lattice scale c into (q, 1] and sums one
+finite lattice, k = -M, ..., T-1, plus one point at 0 for the positive
+points below 1e-9; M is computed from q and nmax.  It adds one symmetric
+product per block of points.  The reference below walks both sides of the
+same reduced lattice one point at a time under the series stop rule, each
+point with its own weight product, and adds the points in lattice order.
+The sums agree to within GRAM_REL_BOUND of the largest entry, and the
+reference's terms just past k = -M are below 1e-18 of it.
 """
 
 import math
@@ -22,9 +22,9 @@ from qhermite.errors import ConvergenceError, QuadratureError
 from qhermite.polyfam import discrete2, gram_matrix
 
 #: max |block sum - reference| / max |reference| over every case below; the
-#: largest measured is 1.6e-12 (q = 0.5, nmax 70), then 1.3e-12 (q = 1e-7,
-#: nmax 44), 8.4e-13 (q = 0.01, c = 100, nmax 25) and 5.5e-13 (q = 0.05,
-#: c = 2.5, nmax 25); at nmax <= 10 it is at most 5.3e-14
+#: largest measured is 1.3e-12 (q = 1e-7, nmax 22), then 1.2e-12 (q = 0.5,
+#: nmax 70), 8.4e-13 (q = 0.01, c = 100, nmax 25) and 7.8e-13 (q = 0.05,
+#: c = 2.5, nmax 25); at nmax <= 10 it is at most 5.9e-14
 GRAM_REL_BOUND = 4e-12
 
 
@@ -48,50 +48,54 @@ def _psi_sequence_scaled(a, d, x):
     return vec, log_scale
 
 
-def reference_gram(family, nmax, max_terms=10000, stats=None):
+def reference_term(family, nmax, k):
+    """(T_k, mag, rescaled): the lattice point k's term q^k w(x) (p(x) p(x)^T + p(-x) p(-x)^T) at
+    x = c q^k of the reduced scale c, each of the points x q^s in the weight product on its own,
+    with log1p(y^2) taken as 2 log y above y = 1e150, where y^2 overflows; the term's largest
+    q^k w(x) p_j(x)^2; and whether p(x) took a 1e120 rescale."""
+    q = family.q.q
+    c = polyfam._reduced_scale(family.lattice_scale, q)
+    a, d = polyfam._orthonormal_coeffs(family, nmax)
+    xk = c * q**k
+    log_w, s = 0.0, 0
+    while (y := xk * q**s) * y >= 1e-18:
+        log_w -= 2.0 * math.log(y) if y > 1e150 else math.log1p(y * y)
+        s += 1
+    term = np.zeros((nmax + 1, nmax + 1))
+    mags = []
+    for x in (xk, -xk):
+        vec, log_scale = _psi_sequence_scaled(a, d, x)
+        expo = log_w + 2.0 * log_scale + k * math.log(q)
+        if expo > 700.0:
+            raise ConvergenceError("type-II lattice term overflow")
+        factor = math.exp(expo)
+        term += factor * np.outer(vec, vec)
+        mags.append(factor * float(np.max(np.abs(vec))) ** 2)
+    return term, max(mags), log_scale > 0.0
+
+
+def reference_gram(family, nmax, stats=None):
     """The lattice sum one point at a time over the lattice of the reduced
     scale, k = 0, 1, ... then -1, -2, ...
 
     Each side stops after three points whose terms are below 1e-16; until
     the first term of at least 1e-16, a small term larger than every one
-    before it restarts that run.  A side raises past max_terms points.
-    stats, if given, receives the point count of each side and the number
-    of 1e120 rescales.
+    before it restarts that run.  A side raises past 10,000 points.  stats,
+    if given, receives the number of points whose values took a 1e120
+    rescale.
     """
     q = family.q.q
     c = polyfam._reduced_scale(family.lattice_scale, q)
     gram = np.zeros((nmax + 1, nmax + 1))
-    a, d = polyfam._orthonormal_coeffs(family, nmax)
     rescales = 0
-
-    def lattice_term(k):
-        nonlocal rescales
-        xk = c * q**k
-        log_w = 0.0
-        s = 0
-        while xk * xk * q ** (2 * s) >= 1e-18:
-            log_w -= math.log1p(xk * xk * q ** (2 * s))
-            s += 1
-        contrib = np.zeros((nmax + 1, nmax + 1))
-        mags = []
-        for x in (xk, -xk):
-            vec, log_scale = _psi_sequence_scaled(a, d, x)
-            rescales += log_scale > 0.0
-            expo = log_w + 2.0 * log_scale + k * math.log(q)
-            if expo > 700.0:
-                raise ConvergenceError("type-II lattice term overflow")
-            factor = math.exp(expo)
-            contrib += factor * np.outer(vec, vec)
-            mags.append(factor * float(np.max(np.abs(vec))) ** 2)
-        return contrib, max(mags)
-
     for direction in (1, -1):
         k = 0 if direction == 1 else -1
         small_run, biggest, prelude = 0, 0.0, True
         steps = 0
         while small_run < 3:
-            contrib, mag = lattice_term(k)
-            gram += contrib
+            term, mag, rescaled = reference_term(family, nmax, k)
+            gram += term
+            rescales += rescaled
             if prelude and mag < 1e-16:
                 small_run, biggest = (1, mag) if mag > biggest else (small_run + 1, biggest)
             else:
@@ -99,10 +103,8 @@ def reference_gram(family, nmax, max_terms=10000, stats=None):
                 small_run = small_run + 1 if mag < 1e-16 else 0
             k += direction
             steps += 1
-            if steps > max_terms:
-                raise ConvergenceError("type-II lattice sum did not decay within max_terms")
-        if stats is not None:
-            stats["positive" if direction == 1 else "negative"] = steps
+            if steps > 10000:
+                raise ConvergenceError("type-II lattice sum did not decay within 10,000 points")
     if stats is not None:
         stats["rescales"] = rescales
     return c * (1.0 - q) * gram
@@ -112,40 +114,33 @@ def _rel_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def _side_counts(monkeypatch, fam, nmax):
-    """The points each side of `_discrete2_gram` under the stop rule reads (the negative side only)."""
-    counts = []
-
-    def counted(terms, what):
-        n = 0
-
-        def count():
-            nonlocal n
-            for term in terms:
-                n += 1
-                yield term
-
-        try:
-            return qcore._sum_series(count(), what)
-        finally:
-            counts.append(n)
-
-    monkeypatch.setattr(polyfam, "_sum_series", counted)
-    gram = polyfam._discrete2_gram(fam, nmax)
-    return gram, tuple(counts)
-
-
 @pytest.mark.parametrize("q", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
-def test_block_sum_matches_pointwise_loop(q, monkeypatch):
+def test_block_sum_matches_pointwise_loop(q):
     for nmax in (0, 1, 4, 8, 10, 25):
         for c in (0.01, 1.0, 2.5):
             fam = discrete2(q, c)
-            stats = {}
-            want = reference_gram(fam, nmax, stats=stats)
-            got, counts = _side_counts(monkeypatch, fam, nmax)
+            got = polyfam._discrete2_gram(fam, nmax)
             assert np.array_equal(got, got.T), (nmax, c)
-            assert _rel_error(got, want) <= GRAM_REL_BOUND, (nmax, c)
-            assert counts == (stats["negative"],), (nmax, c)
+            assert _rel_error(got, reference_gram(fam, nmax)) <= GRAM_REL_BOUND, (nmax, c)
+
+
+@pytest.mark.parametrize("q,nmax,c", [
+    (0.1, 2, 1.0),    # the reference's negative side stops on its 8th point
+    (0.5, 13, 2.5),   # c reduces to 0.625; the reference reads 24 negative points
+    (0.95, 24, 1.0),  # 56 negative points
+    (0.01, 10, 1.0),  # the reference's negative side reads more points than its positive side
+    (0.1, 20, 1.0),
+    (0.05, 40, 1e4),
+    (0.01, 25, 100.0),
+    (0.02, 40, 1e6),
+    (1e-7, 22, 1.0),  # the lattice runs out to c q^-26 = 1e182, whose square overflows
+])
+def test_finite_lattice_matches_pointwise_loop_without_warnings(q, nmax, c):
+    fam = discrete2(q, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = polyfam._discrete2_gram(fam, nmax)
+        assert _rel_error(got, reference_gram(fam, nmax)) <= GRAM_REL_BOUND
 
 
 def test_grid_exercises_the_rescale():
@@ -154,61 +149,64 @@ def test_grid_exercises_the_rescale():
     assert stats["rescales"] > 0
 
 
-@pytest.mark.parametrize("q,nmax,c,negative", [
-    (0.1, 2, 1.0, 8),     # the negative side stops on the last point of its first block
-    (0.5, 13, 2.5, 24),   # c reduces to 0.625; the last point of the second block (8 + 16)
-    (0.95, 24, 1.0, 56),  # the last point of the third block (8 + 16 + 32)
-])
-def test_stop_on_a_block_boundary(q, nmax, c, negative, monkeypatch):
-    fam = discrete2(q, c)
-    stats = {}
-    want = reference_gram(fam, nmax, stats=stats)
-    assert stats["negative"] == negative
-    got, counts = _side_counts(monkeypatch, fam, nmax)
-    assert counts == (negative,)
-    assert _rel_error(got, want) <= GRAM_REL_BOUND
+def _extent(q, nmax):
+    """M = nmax + 1 + ceil(sqrt(1 + (ln 1e18 + nmax ln(4/(1-q))) / ln(1/q))), from the docstring's bound."""
+    return nmax + 1 + math.ceil(math.sqrt(1.0 + (math.log(1e18) + nmax * math.log(4.0 / (1.0 - q))) / -math.log(q)))
 
 
-def _raises(fn):
-    try:
-        fn()
-    except ConvergenceError:
-        return True
-    return False
+def _gram_and_extent(monkeypatch, fam, nmax):
+    """_discrete2_gram(fam, nmax) and the M of its first point c q^-M."""
+    starts = []
+
+    def powers(q, start, stop):
+        starts.append(start)
+        return qcore._q_powers(q, start, stop)
+
+    monkeypatch.setattr(polyfam, "_q_powers", powers)
+    gram = polyfam._discrete2_gram(fam, nmax)
+    monkeypatch.undo()
+    return gram, -starts[0]
 
 
-@pytest.mark.parametrize("q,nmax", [(0.01, 10), (0.1, 20)])
-def test_max_terms_raises_at_the_same_step(q, nmax, monkeypatch):
-    """Cases where the negative side needs the most points of either side of the reference, and
-    the positive side's T <= 10 points stay under its cap 10 * _MAX_TERMS at every cap tried."""
-    fam = discrete2(q)
-    stats = {}
-    reference_gram(fam, nmax, stats=stats)
-    needed = stats["negative"]
-    assert stats["positive"] <= needed and polyfam._terms_above_cutoff(q, 1e-9) <= 10
-    raised = 0
-    for max_terms in range(1, needed + 3):
-        monkeypatch.setattr(qcore, "_MAX_TERMS", max_terms)
-        want = _raises(lambda: reference_gram(fam, nmax, max_terms))
-        assert _raises(lambda: polyfam._discrete2_gram(fam, nmax)) == want, max_terms
-        raised += want
-    assert raised == needed - 1  # max_terms >= needed passes, every smaller cap raises
+def test_extent_examples():
+    """M = 19 at q = 0.5, nmax 8 (the verify-suite Gram), where the reference reads 18 negative
+    points, and M = 364 at q = 0.999, nmax 10."""
+    assert _extent(0.5, 8) == 19
+    assert _extent(0.999, 10) == 364
 
 
-def test_positive_side_is_capped_at_ten_times_max_terms(monkeypatch):
-    """The positive side has T points, 2,062 at q = 0.99 (c = 1); past 10 * _MAX_TERMS of them it
-    raises before any is evaluated, the cap q_pochhammer puts on its factor count."""
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.99, 0.999])
+def test_terms_past_the_extent_are_below_the_cutoff(q, monkeypatch):
+    """The reference's terms at k = -M-1 ... -M-5, which the finite lattice leaves out, are at most
+    1e-18 of the Gram's largest entry (2.0e-25 measured, at q = 0.9); the Gram's M is the bound."""
+    worst = 0.0
+    for nmax in (0, 4, 10, 25, 70):
+        for c in (0.01, 1.0, 2.5):
+            fam = discrete2(q, c)
+            gram, big_m = _gram_and_extent(monkeypatch, fam, nmax)
+            assert big_m == _extent(q, nmax), (nmax, c)
+            red = polyfam._reduced_scale(c, q)
+            for k in range(-big_m - 1, -big_m - 6, -1):
+                term = red * (1.0 - q) * reference_term(fam, nmax, k)[0]
+                worst = max(worst, float(np.max(np.abs(term)) / np.max(np.abs(gram))))
+    assert worst <= 1e-18
+
+
+def test_lattice_is_capped_at_ten_times_max_terms(monkeypatch):
+    """The lattice has T + M points, 2,062 + 86 at q = 0.99 (c = 1), nmax 4; past 10 * _MAX_TERMS of
+    them it raises before any is evaluated, the cap q_pochhammer puts on its factor count."""
     fam = discrete2(0.99)
     big_t = polyfam._terms_above_cutoff(0.99, 1e-9)
     assert big_t == 2062
-    want = polyfam._discrete2_gram(fam, 4)
-    monkeypatch.setattr(qcore, "_MAX_TERMS", 206)
-    with pytest.raises(ConvergenceError, match="2062 positive points, more than 2060"):
+    want, big_m = _gram_and_extent(monkeypatch, fam, 4)
+    assert big_m == 86
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 214)
+    with pytest.raises(ConvergenceError, match=r"type-II lattice sum: 2148 points, more than 2140$"):
         polyfam._discrete2_gram(fam, 4)
-    monkeypatch.setattr(qcore, "_MAX_TERMS", 207)  # the negative side needs 18 points
+    monkeypatch.setattr(qcore, "_MAX_TERMS", 215)
     assert polyfam._discrete2_gram(fam, 4).tobytes() == want.tobytes()
     monkeypatch.undo()
-    with pytest.raises(ConvergenceError, match="positive points"):  # 207,223 of them
+    with pytest.raises(ConvergenceError, match="points, more than 100000"):  # 207,223 positive ones
         gram_matrix(discrete2(0.9999), 4)
 
 
@@ -221,11 +219,16 @@ def test_q_0_999_passes_the_gate(c):
     assert not rep.matrix[1::2, ::2].any() and not rep.matrix[::2, 1::2].any()
 
 
-def test_lattice_leaving_double_range_raises_a_convergence_error():
-    """At q = 1e-30 the negative side's terms stay near 1 until c q^k passes double range at k = -11;
-    before, Python's bare OverflowError escaped from q**k."""
-    with pytest.raises(ConvergenceError, match=r"leaves double range at k = -11, q = 1e-30"):
-        gram_matrix(discrete2(1e-30), 6)
+@pytest.mark.parametrize("q,nmax,k", [
+    (1e-30, 6, -8),   # x = q^-8 = 1e240: x p_j overflows in the recurrence
+    (1e-7, 44, -48),  # the first point, c q^-48 = 1e336, is past double range
+])
+def test_lattice_leaving_double_range_raises_a_convergence_error(q, nmax, k):
+    """A point or term that is not finite raises, naming its k and q; before, q = 1e-30 raised as
+    the walk's c q^k left double range at k = -11, and q = 1e-7, nmax 44 passed the gate with
+    weight 0 on every point above 1.3e154, where log1p(x^2) was inf, and a diagonal spread of 1.0."""
+    with pytest.raises(ConvergenceError, match=rf"type-II lattice term is not finite at k = {k}, q = {q!r}$"):
+        gram_matrix(discrete2(q), nmax)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
@@ -256,18 +259,20 @@ def test_tail_point_matches_the_pointwise_tail(q, c):
     assert np.max(np.abs(point - pointwise)) <= 1e-16 * np.max(np.abs(whole))
 
 
-@pytest.mark.parametrize("q,nmax,c", [
-    (0.05, 40, 1e4),
-    (0.01, 25, 100.0),
-    (0.02, 40, 1e6),
-    (1e-7, 44, 1.0),  # the block k = -25 ... -56 reaches a k whose q**k overflows
-])
-def test_points_past_the_stop_do_not_warn_or_raise(q, nmax, c):
-    fam = discrete2(q, c)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = polyfam._discrete2_gram(fam, nmax)
-        assert _rel_error(got, reference_gram(fam, nmax)) <= GRAM_REL_BOUND
+def test_points_above_1e154_keep_their_weight():
+    """log1p(x^2) is inf above x = 1.3e154, which set the weight of that point and of every point
+    beyond it to 0; at q = 1e-7, nmax 22 the diagonal spread read 9.6e-8, and 1.0 from nmax 24."""
+    rep = gram_matrix(discrete2(1e-7), 22)
+    assert rep.diag_spread < 1e-10  # 8.0e-13 measured
+
+
+@pytest.mark.parametrize("q,nmax", [(0.1, 160), (0.3, 300)])
+def test_high_degree_gram_passes_the_gate(q, nmax):
+    """Before, both read an off-diagonal Gram mass of 8.4e-2 and 2.0e-1: the walk's weights were 0
+    past x = 1.3e154."""
+    rep = gram_matrix(discrete2(q), nmax)
+    assert rep.max_offdiag < 1e-11  # 9.9e-13 and 5.6e-12 measured
+    assert rep.diag_spread < 1e-10  # 1.2e-11 and 3.8e-11 measured
 
 
 def test_large_nmax_stays_within_the_bound():
