@@ -109,45 +109,62 @@ def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None) 
     return np.array(coeffs)
 
 
-def bg_expansion(
-    family: FamilyDescriptor,
-    z: complex,
-    dim: int | None = None,
-) -> CoherentStateExpansion:
-    """Expansion of the lowering-operator eigenstate |z>.
-
-    Continuous family: c_n proportional to z^n / sqrt([n]_q!), defined for
-    |z| < 1/sqrt(1-q).  Lattice family: c_n proportional to
-    z^n q^{n(n-1)/2} (1-q)^{n/2} / sqrt((q;q)_n), defined for every z.
-    With dim=None the truncation grows until |c_dim|^2 < 1e-26.
-    """
-    z = complex(z)
-    polyfam.orthonormal_laws(family.kind)  # rejects type-I, whose normalization series has radius zero
-    if dim is not None and dim < 1:
-        raise DimensionError(f"a coherent expansion needs dim >= 1, got {dim}")
+def _checked_abs_sq(family: FamilyDescriptor, z: complex) -> float:
+    """|z|^2 of one state's z, after the checks on z that need no coefficient."""
     if not cmath.isfinite(z):
         raise DomainError(f"coherent states need a finite z, got {z!r}")
-    q = family.q.q
-    if family.kind is Family.ROGERS and abs(z) >= rogers_radius(q):
-        raise DomainError(f"continuous-family states need |z| < {rogers_radius(q)}")
+    if family.kind is Family.ROGERS and abs(z) >= rogers_radius(family.q.q):
+        raise DomainError(f"continuous-family states need |z| < {rogers_radius(family.q.q)}, got |z| = {abs(z)!r}")
     try:
-        abs_sq = abs(z) ** 2
+        return abs(z) ** 2
     except OverflowError:
         raise OverflowError(f"coherent state |z|^2 overflows double range at |z| = {abs(z)!r}") from None
-    raw = _unnormalized_coeffs(family, z, dim)
-    if family.kind is Family.ROGERS:
-        norm_sq = float(e_q_tilde((1.0 - q) * abs_sq, family.q).real)
-    else:
-        norm_sq = float(e_q_gaussian(abs_sq, family.q).real)
-    partial = float(np.sum(np.abs(raw) ** 2))
+
+
+def _state(family: FamilyDescriptor, z: complex, raw: np.ndarray, norm_sq: float) -> CoherentStateExpansion:
     return CoherentStateExpansion(
         family=family,
         z=z,
         dim=len(raw),
         coefficients=raw / math.sqrt(norm_sq),
         norm_sq_closed=norm_sq,
-        norm_sq_partial=partial,
+        norm_sq_partial=float(np.sum(np.abs(raw) ** 2)),
     )
+
+
+def bg_expansion(
+    family: FamilyDescriptor,
+    z,
+    dim: int | None = None,
+):
+    """Expansion of the lowering-operator eigenstate |z>.
+
+    Continuous family: c_n proportional to z^n / sqrt([n]_q!), defined for
+    |z| < 1/sqrt(1-q).  Lattice family: c_n proportional to
+    z^n q^{n(n-1)/2} (1-q)^{n/2} / sqrt((q;q)_n), defined for every z.
+    With dim=None the truncation grows until |c_dim|^2 < 1e-26.
+
+    z may be an ndarray: a tuple of states, one per element in C order, each
+    equal bit for bit to the scalar call.  Every element is checked before
+    any coefficient is built, and an error names the first element at fault;
+    the continuous-family norms are then one e_q_tilde product.
+    """
+    polyfam.orthonormal_laws(family.kind)  # rejects type-I, whose normalization series has radius zero
+    if dim is not None and dim < 1:
+        raise DimensionError(f"a coherent expansion needs dim >= 1, got {dim}")
+    q = family.q.q
+    scalar = not isinstance(z, np.ndarray)
+    zs = [complex(z)] if scalar else np.asarray(z, dtype=complex).ravel().tolist()
+    abs_sq = [_checked_abs_sq(family, v) for v in zs]
+    raws = [_unnormalized_coeffs(family, v, dim) for v in zs]
+    if family.kind is not Family.ROGERS:
+        norms = [float(e_q_gaussian(a, family.q).real) for a in abs_sq]
+    elif scalar:  # a Python float takes the product's factor loop without numpy
+        norms = [float(e_q_tilde((1.0 - q) * abs_sq[0], family.q).real)]
+    else:  # a real array: the scalar values bit for bit
+        norms = e_q_tilde((1.0 - q) * np.array(abs_sq), family.q).tolist()
+    states = tuple(_state(family, v, raw, norm_sq) for v, raw, norm_sq in zip(zs, raws, norms))
+    return states[0] if scalar else states
 
 
 @functools.lru_cache(maxsize=8)  # per (family, q, size); one verify-all run uses 4

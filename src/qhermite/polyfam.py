@@ -26,7 +26,7 @@ import numpy as np
 
 from . import qcore
 from .errors import ConvergenceError, DomainError, PoleError, QuadratureError, UnsupportedFamily
-from .qcore import (QParam, Scalar, _q_powers, _sum_series, _terms_above_cutoff, as_qparam,
+from .qcore import (QParam, Scalar, _first_failing, _q_powers, _sum_series, _terms_above_cutoff, as_qparam,
                     q_number, q_pochhammer)
 
 
@@ -223,18 +223,25 @@ def _require_finite(x, name: str = "x") -> None:
         raise DomainError(f"{name} must be finite, got {x!r}")
 
 
-def eval_orthonormal(family: FamilyDescriptor, n: int, x: Scalar) -> Scalar:
+def eval_orthonormal(family: FamilyDescriptor, n: int, x):
     """Orthonormal polynomial of degree n by the three-term recurrence.
 
     Real Rogers arguments must lie in [-1, 1]; complex arguments are
-    accepted for either family as the entire analytic continuation.
+    accepted for either family as the entire analytic continuation.  x may
+    be an ndarray: a value per element of x's shape, each equal bit for bit
+    to the scalar call, and a DomainError names the first element outside
+    [-1, 1].
     """
     if n < 0:
         raise DomainError("degree must be non-negative")
     _require_finite(x)
     a, d = _orthonormal_coeffs(family, n)
-    if family.kind is Family.ROGERS and not isinstance(x, complex) and abs(x) > 1.0:
-        raise DomainError("Rogers polynomials are defined on [-1, 1]")
+    if family.kind is Family.ROGERS and not np.iscomplexobj(x):
+        bad = _first_failing(abs(x) <= 1.0, x)
+        if bad is not None:
+            raise DomainError(f"Rogers polynomials are defined on [-1, 1], got x = {bad!r}")
+    if n == 0 and isinstance(x, np.ndarray):
+        return np.ones(x.shape, np.result_type(x, 1.0))[()]  # 0-d: a numpy scalar, as at degree n > 0
     *_, p = _three_term(x, a, d)
     return p
 
@@ -653,4 +660,6 @@ def gram_matrix(family: FamilyDescriptor, nmax: int) -> GramReport:
     diag_spread = float(np.max(np.abs(diag / diag.mean() - 1.0)))
     if not max_offdiag <= 1e-6:  # a NaN Gram fails too
         raise QuadratureError(f"off-diagonal Gram mass {max_offdiag:.3e} exceeds 1e-6")
+    if not diag_spread <= 1e-6:
+        raise QuadratureError(f"Gram diagonal spread {diag_spread:.3e} exceeds 1e-6")
     return GramReport(dimension=dim, matrix=gram, max_offdiag=max_offdiag, diag_spread=diag_spread)

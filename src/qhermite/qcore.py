@@ -103,10 +103,10 @@ def _sum_series(terms: Iterable, what: str, running: np.ndarray | None = None):
             size = np.abs(term)
             small_run += 1
             small_run *= size < _TERM_TOL  # counts consecutive small terms, 0 after a large one
-            if prelude:  # some element has had small terms only; no other can meet a small term above all before
+            if prelude:  # a running element has had small terms only; no other can meet a small term above all before
                 np.copyto(small_run, 1, where=(size > biggest) & (size < _TERM_TOL))
                 np.maximum(biggest, size, out=biggest)
-                prelude = bool((biggest < _TERM_TOL).any())
+                prelude = bool((running & (biggest < _TERM_TOL)).any())
             running &= small_run < _CONSECUTIVE_SMALL
             if not running.any():
                 break

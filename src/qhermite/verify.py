@@ -229,18 +229,15 @@ def suite_qdiff(q: float = 0.5, nmax: int = 8) -> VerificationReport:
 def suite_coherent(q: float = 0.5, seed: int = 1234) -> VerificationReport:
     rng = np.random.default_rng(seed)
     checks = []
-    worst = 0.0
-    radius = coherent.rogers_radius(q)
-    for _ in range(20):
-        z = rng.uniform(0.05, 0.85) * radius * np.exp(2j * math.pi * rng.uniform())
-        state = coherent.bg_expansion(polyfam.rogers(q), complex(z))
-        worst = max(worst, coherent.eigen_residual(state))
+    # per z, rng.uniform(low, high) for |z| then rng.uniform() for its phase, as uniform scales them
+    draws = rng.random((20, 2))
+    z = (0.05 + (0.85 - 0.05) * draws[:, 0]) * coherent.rogers_radius(q) * np.exp(2j * math.pi * draws[:, 1])
+    # from 0.0, state by state, as a running max(worst, residual) takes it
+    worst = max([0.0] + [coherent.eigen_residual(state) for state in coherent.bg_expansion(polyfam.rogers(q), z)])
     checks.append(_below("continuous eigen-residual, 20 random z", worst, 1e-9))
-    worst = 0.0
-    for _ in range(20):
-        z = rng.uniform(0.05, 3.0) * np.exp(2j * math.pi * rng.uniform())
-        state = coherent.bg_expansion(polyfam.discrete2(q), complex(z))
-        worst = max(worst, coherent.eigen_residual(state))
+    draws = rng.random((20, 2))
+    z = (0.05 + (3.0 - 0.05) * draws[:, 0]) * np.exp(2j * math.pi * draws[:, 1])
+    worst = max([0.0] + [coherent.eigen_residual(state) for state in coherent.bg_expansion(polyfam.discrete2(q), z)])
     checks.append(_below("lattice eigen-residual, 20 random z", worst, 1e-9))
 
     state = coherent.bg_expansion(polyfam.rogers(q), 1.0, dim=30)
@@ -278,21 +275,17 @@ def suite_coherent(q: float = 0.5, seed: int = 1234) -> VerificationReport:
 
 def suite_overlap(q: float = 0.5, seed: int = 1234) -> VerificationReport:
     rng = np.random.default_rng(seed)
-    radius = coherent.rogers_radius(q)
     fam = polyfam.rogers(q)
-    coeff_sums, pairs = [], []
-    for _ in range(50):
-        z1, z2 = (
-            complex(rng.uniform(0.05, 0.9) * radius * np.exp(2j * math.pi * rng.uniform()))
-            for _ in range(2)
-        )
-        s1 = coherent.bg_expansion(fam, z1)
-        s2 = coherent.bg_expansion(fam, z2)
+    # row i is pair i, (z1, z2); per z, rng.uniform(low, high) for |z| then rng.uniform() for its phase
+    draws = rng.random((50, 2, 2))
+    z = (0.05 + (0.9 - 0.05) * draws[..., 0]) * coherent.rogers_radius(q) * np.exp(2j * math.pi * draws[..., 1])
+    states = coherent.bg_expansion(fam, z)
+    coeff_sums = []
+    for s1, s2 in zip(states[::2], states[1::2]):
         n = min(s1.dim, s2.dim)
         coeff_sum = complex(np.sum(np.conj(s1.coefficients[:n]) * s2.coefficients[:n]))
         coeff_sums.append(coeff_sum * math.sqrt(s1.norm_sq_closed * s2.norm_sq_closed))
-        pairs.append((z1, z2))
-    closed = coherent.overlap(fam, *np.array(pairs).T)
+    closed = coherent.overlap(fam, z[:, 0], z[:, 1])
     worst = np.max(abs(np.array(coeff_sums) - closed) / abs(closed))
     return VerificationReport(
         "overlap", (_below("closed-form overlap vs coefficient sum, 50 pairs", worst, 1e-10),)

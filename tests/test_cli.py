@@ -318,6 +318,14 @@ def test_nan_gram_is_numerical_error(capsys, monkeypatch):
     assert captured.err == "qhermite: numerical error: off-diagonal Gram mass nan exceeds 1e-6\n"
 
 
+def test_gram_with_a_wrong_diagonal_is_numerical_error(capsys, monkeypatch):
+    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax: np.diag([1.0, 2.0, 1.0]))
+    assert cli.main(["table", "--kind=gram", "--family=discrete2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qhermite: numerical error: Gram diagonal spread 5.000e-01 exceeds 1e-6\n"
+
+
 def test_overflow_is_numerical_error(capsys):
     status = cli.main(["eval", "--family=discrete2", "--n=2000", "--x=1"])
     captured = capsys.readouterr()

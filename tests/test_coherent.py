@@ -351,3 +351,74 @@ def test_discrete2_norm_overflow_stops_at_the_first_infinite_term():
     # leaves double range at term 23 instead of running to max_terms
     with pytest.raises(OverflowError, match=r"^e_q_gaussian series: term 23 overflows double range at x = 1e\+20$"):
         bg_expansion(discrete2(0.5), complex(1e10, 0.0), dim=3)
+
+
+def _same_state(got, want):
+    return (got.family == want.family and got.z == want.z and got.dim == want.dim
+            and got.coefficients.tobytes() == want.coefficients.tobytes()
+            and got.norm_sq_closed.hex() == want.norm_sq_closed.hex()
+            and got.norm_sq_partial.hex() == want.norm_sq_partial.hex())
+
+
+@pytest.mark.parametrize("dim", [None, 7])
+@pytest.mark.parametrize("family", [rogers, discrete2])
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_array_bg_expansion_equals_the_scalar_calls_bit_for_bit(q, family, dim):
+    rng = np.random.default_rng(7)
+    rmax = 0.95 * rogers_radius(q) if family is rogers else 3.0
+    z = rmax * rng.uniform(0.0, 1.0, 40) * np.exp(2j * math.pi * rng.uniform(size=40))
+    z[:3] = 0.0, 0.5 * rmax, -0.25j * rmax  # the vacuum and the two axes
+    states = bg_expansion(family(q), z, dim)
+    assert isinstance(states, tuple) and len(states) == 40
+    for v, state in zip(z, states):
+        assert _same_state(state, bg_expansion(family(q), complex(v), dim)), v
+
+
+def test_array_bg_expansion_layouts():
+    fam = rogers(0.5)
+    z = np.array([[0.1, 0.2j, 0.3], [0.4, 0.5 - 0.1j, 0.6]])
+    states = bg_expansion(fam, z)
+    assert [state.z for state in states] == [complex(v) for v in z.ravel()]  # C order
+    assert all(_same_state(state, bg_expansion(fam, complex(v))) for v, state in zip(z.ravel(), states))
+    states = bg_expansion(fam, np.asfortranarray(z))
+    assert [state.z for state in states] == [complex(v) for v in z.ravel()]
+    (state,) = bg_expansion(fam, np.array(0.7))
+    assert _same_state(state, bg_expansion(fam, 0.7))
+    assert bg_expansion(fam, np.array([])) == ()
+    assert bg_expansion(discrete2(0.5), np.zeros((0, 3), complex)) == ()
+
+
+def test_array_bg_expansion_errors_name_the_first_bad_element():
+    r = rogers_radius(0.5)
+    with pytest.raises(DomainError, match=rf"^continuous-family states need \|z\| < {r}, got \|z\| = {1.5 * r}$"):
+        bg_expansion(rogers(0.5), np.array([0.3, 1.5 * r, 2.0 * r]))
+    with pytest.raises(DomainError, match=rf"^continuous-family states need \|z\| < {r}, got \|z\| = {r}$"):
+        bg_expansion(rogers(0.5), np.array([0.3, -1j * r]))
+    for fam in (rogers(0.5), discrete2(0.5)):
+        with pytest.raises(DomainError, match=r"^coherent states need a finite z, got \(nan\+0j\)$"):
+            bg_expansion(fam, np.array([0.3, math.nan, math.inf]))
+        with pytest.raises(DomainError, match=r"^coherent states need a finite z, got infj$"):
+            bg_expansion(fam, np.array([[0.3, complex(0.0, math.inf)], [math.nan, 0.1]]))
+        with pytest.raises(DimensionError, match=r"^a coherent expansion needs dim >= 1, got 0$"):
+            bg_expansion(fam, np.array([0.3, math.nan]), 0)
+    with pytest.raises(UnsupportedFamily):
+        bg_expansion(discrete1(0.5), np.array([0.3, 0.4]))
+    with pytest.raises(UnsupportedFamily):
+        bg_expansion(discrete1(0.5), np.array([]))
+    # every element is checked before any walk: a NaN after an element whose walk overflows is named
+    with pytest.raises(DomainError, match=r"^coherent states need a finite z, got \(nan\+0j\)$"):
+        bg_expansion(discrete2(0.5), np.array([1e10, math.nan]))
+    with pytest.raises(OverflowError, match=r"^coherent state \|z\|\^2 overflows double range at \|z\| = 1e\+200$"):
+        bg_expansion(discrete2(0.5), np.array([1e10, 1e200, 1e250]))
+
+
+def test_array_bg_expansion_walk_overflow_is_the_scalar_message():
+    fam = discrete2(0.5)
+    with pytest.raises(OverflowError) as scalar:
+        bg_expansion(fam, 1e10)
+    with pytest.raises(OverflowError) as array:
+        bg_expansion(fam, np.array([0.5, 1e10, 2e10]))
+    assert str(array.value) == str(scalar.value)
+    assert str(array.value) == "coherent state |c_n|^2 overflows double range at n = 25, |z| = 10000000000.0"
+    with pytest.raises(OverflowError, match=r"^e_q_gaussian series: term 23 overflows double range at x = 1e\+20$"):
+        bg_expansion(fam, np.array([0.5, 1e10]), dim=3)

@@ -80,6 +80,46 @@ def test_eval_orthonormal_domain_and_family_errors():
     assert isinstance(val, complex)
 
 
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_rogers_eval_orthonormal_on_an_array_equals_the_scalar_calls_bit_for_bit(q):
+    rng = np.random.default_rng(11)
+    xs = np.append(rng.uniform(-1.0, 1.0, 197), [-1.0, 0.0, 1.0])
+    for n in (0, 1, 2, 7, 25):
+        got = eval_orthonormal(rogers(q), n, xs)
+        assert got.shape == xs.shape and got.dtype == float
+        want = np.array([eval_orthonormal(rogers(q), n, float(x)) for x in xs])
+        assert got.tobytes() == want.tobytes(), n
+        assert eval_orthonormal(rogers(q), n, xs.reshape(20, 10)).tobytes() == want.tobytes()
+
+
+def test_rogers_eval_orthonormal_array_errors_name_the_first_element_outside():
+    with pytest.raises(DomainError, match=r"^Rogers polynomials are defined on \[-1, 1\], got x = 1\.5$"):
+        eval_orthonormal(rogers(0.5), 3, np.array([0.1, 1.5, -2.0]))
+    with pytest.raises(DomainError, match=r"^Rogers polynomials are defined on \[-1, 1\], got x = -1\.0000001$"):
+        eval_orthonormal(rogers(0.5), 0, np.array([[0.1, 0.2], [-1.0000001, 3.0]]))
+    with pytest.raises(DomainError, match=r"^Rogers polynomials are defined on \[-1, 1\], got x = 1\.5$"):
+        eval_orthonormal(rogers(0.5), 2, 1.5)
+    with pytest.raises(DomainError, match="finite in every element"):
+        eval_orthonormal(rogers(0.5), 3, np.array([0.1, math.nan]))
+    # complex elements are the analytic continuation, with no range check; numpy's complex
+    # arithmetic rounds otherwise than CPython's, so these agree to rounding only
+    got = eval_orthonormal(rogers(0.5), 3, np.array([1.5 + 0.5j, 0.2]))
+    want = [eval_orthonormal(rogers(0.5), 3, 1.5 + 0.5j), eval_orthonormal(rogers(0.5), 3, 0.2 + 0j)]
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("family", [rogers, discrete2])
+def test_eval_orthonormal_degree_zero_keeps_the_array_shape(family):
+    got = eval_orthonormal(family(0.5), 0, np.array([[0.1, -0.2, 0.3]]))
+    assert got.shape == (1, 3) and got.dtype == float and np.all(got == 1.0)
+    got = eval_orthonormal(family(0.5), 0, np.array([0.1 + 0.1j]))
+    assert got.shape == (1,) and got.dtype == complex and got[0] == 1.0
+    assert eval_orthonormal(family(0.5), 0, np.array([0, 1])).dtype == float
+    assert eval_orthonormal(family(0.5), 0, 0.3) == 1.0
+    for n in (0, 3):  # a 0-d array gives a numpy scalar at every degree
+        assert type(eval_orthonormal(family(0.5), n, np.array(0.3))) is np.float64
+
+
 def test_rogers_recurrence_vs_trig_sum():
     q = 0.5
     x = 0.3
@@ -221,6 +261,18 @@ def test_discrete2_gram_normalized():
     assert rep.diag_spread < 1e-7
     assert rep.matrix[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert np.max(np.abs(rep.matrix - rep.matrix.T)) < 1e-12
+
+
+def test_gram_with_a_wrong_diagonal_raises(monkeypatch):
+    """A Gram whose off-diagonal is 0 but whose diagonal is not degree-independent fails its gate."""
+    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax: np.diag([1.0, 2.0, 1.0]))
+    with pytest.raises(QuadratureError, match=r"^Gram diagonal spread 5\.000e-01 exceeds 1e-6$"):
+        gram_matrix(discrete2(0.5), 2)
+    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax: np.diag([1.0, 1.0 + 2e-6, 1.0]))
+    with pytest.raises(QuadratureError, match=r"^Gram diagonal spread 1\.333e-06 exceeds 1e-6$"):
+        gram_matrix(discrete2(0.5), 2)
+    monkeypatch.setattr(polyfam, "_discrete2_gram", lambda family, nmax: np.diag([1.0, 1.0 + 1e-6, 1.0]))
+    assert gram_matrix(discrete2(0.5), 2).diag_spread < 1e-6
 
 
 @given(n=st.integers(0, 12), x=st.floats(0.05, 0.95))

@@ -386,6 +386,18 @@ def test_jackson_sum_of_a_zero_integrand_stops_after_three_terms(zero):
     assert len(calls) == 3 and np.all(got == 0.0)
 
 
+def test_array_sum_leaves_its_prelude_once_no_running_element_needs_it(monkeypatch):
+    """An element of exact zeros stops after three terms; the prelude's restart test ends with it,
+    not at the end of the sum, and the other element's value is that of its own call."""
+    copies = []
+    real_copyto = np.copyto
+    monkeypatch.setattr(np, "copyto", lambda *args, **kwargs: copies.append(1) or real_copyto(*args, **kwargs))
+    got = jackson_integral(lambda x: np.array([0.0, x**0.5]), 1.0, 0.5)
+    monkeypatch.undo()
+    assert len(copies) == 4  # terms 0-3: the zero element stops at term 2
+    assert got.tolist() == [0.0, jackson_integral(lambda x: x**0.5, 1.0, 0.5)]
+
+
 @pytest.mark.parametrize("array", [False, True])
 def test_tiny_terms_restart_the_run_only_before_the_first_large_term(array):
     """A tiny term larger than every term before it restarts the run of small terms until the
