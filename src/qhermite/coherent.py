@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,9 +28,7 @@ from .errors import (
 from .polyfam import Family, FamilyDescriptor
 from .qcore import (
     _MAX_TERMS,
-    _POWER_TABLE_MAX,
     QParam,
-    _power_table,
     _q_powers,
     _terms_above_cutoff,
     as_qparam,
@@ -76,10 +75,14 @@ def rogers_radius(q: QParam | float) -> float:
     return 1.0 / math.sqrt(1.0 - as_qparam(q).q)
 
 
+#: step factors of up to this many powers are cached; a longer table is built for its call alone
+_STEP_FACTORS_MAX = 1 << 15
+
+
 @functools.lru_cache(maxsize=8)  # per (q, family, size); one verify-all run uses 2
 def _step_factors(q: float, rogers: bool, n: int) -> tuple[list[float], tuple[float, ...]]:
-    """(p, r): _power_table(q, n) and the factors r[m] of c_{m+1}/c_m for m < len(p) - 1."""
-    p = _power_table(q, n)
+    """(p, r): the powers q**s for s < max(n, 64) and the factors r[m] of c_{m+1}/c_m for m < len(p) - 1."""
+    p = _q_powers(q, 0, max(n, 64)).tolist()
     return p, tuple(math.sqrt((1.0 - pm) / (1.0 - q)) if rogers else math.sqrt((1.0 - q) / (1.0 - pm)) for pm in p[1:])
 
 
@@ -93,8 +96,8 @@ def _unnormalized_coeffs(family: FamilyDescriptor, z: complex, dim: int | None) 
     c, total = coeffs[0], 1.0
     try:
         for n in range(_MAX_TERMS if dim is None else dim - 1):
-            if n == len(r):  # past the power-table cap a longer table is built for this call alone
-                p, r = (_step_factors if n < _POWER_TABLE_MAX // 2 else _step_factors.__wrapped__)(q, rogers, 2 * n + 2)
+            if n == len(r):  # a table twice as long; past the cap it is built for this call alone
+                p, r = (_step_factors if n < _STEP_FACTORS_MAX // 2 else _step_factors.__wrapped__)(q, rogers, 2 * n + 2)
             c = c * z / r[n] if rogers else c * z * p[n] * r[n]
             if dim is None:
                 size = abs(c) ** 2
@@ -154,6 +157,8 @@ def bg_expansion(
         raise DimensionError(f"a coherent expansion needs dim >= 1, got {dim}")
     q = family.q.q
     scalar = not isinstance(z, np.ndarray)
+    if scalar and not isinstance(z, numbers.Number):
+        raise DomainError(f"z must be a number or an ndarray, got {type(z).__name__}")
     zs = [complex(z)] if scalar else np.asarray(z, dtype=complex).ravel().tolist()
     abs_sq = [_checked_abs_sq(family, v) for v in zs]
     raws = [_unnormalized_coeffs(family, v, dim) for v in zs]

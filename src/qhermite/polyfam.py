@@ -19,6 +19,7 @@ import enum
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -214,7 +215,9 @@ def _degrees(n):
 
 
 def _require_finite(x, name: str = "x") -> None:
-    """Reject a non-finite scalar, or an ndarray with any non-finite element."""
+    """Reject a non-finite scalar, an ndarray with any non-finite element, or anything else (a list)."""
+    if not isinstance(x, (numbers.Number, np.ndarray)):
+        raise DomainError(f"{name} must be a number or an ndarray, got {type(x).__name__}")
     if isinstance(x, np.ndarray):
         bad = x[~np.isfinite(x)]
         if bad.size:
@@ -549,14 +552,16 @@ def _scaled_sequence(a: list[float], d: list[float], x: np.ndarray) -> tuple[np.
     """Orthonormal values of degree 0..len(d) at each point of x (one column
     per point), given the recurrence lists of _orthonormal_coeffs.
 
-    Whenever max(|p_m|, |p_{m-1}|) of a point passes 1e120, that point's
-    column is divided by it and its log is added to the point's log-scale,
-    so that huge lattice points stay inside double range.  After each step
-    |p_m| <= 1e120, so the maximum can pass 1e120 only as |p_{m+1}|.
+    Whenever |p_{m+1}| of a point passes its limit, 1e120 / max(1, 1e-30 |x|),
+    that point's column is divided by it and its log is added to the
+    point's log-scale, so that huge lattice points stay inside double range:
+    |x| times the limit is at most 1e150, and a column just rescaled ends in
+    +-1.  Up to |x| = 1e30 the limit is a flat 1e120.
     """
     vals = np.empty((len(d) + 1, x.size))
     vals[0] = 1.0
     log_scale = np.zeros(x.size)
+    limit = 1e120 / np.maximum(1.0, 1e-30 * np.abs(x))
     for m in range(len(d)):
         p = vals[m + 1]
         np.multiply(x, vals[m], out=p)
@@ -564,7 +569,7 @@ def _scaled_sequence(a: list[float], d: list[float], x: np.ndarray) -> tuple[np.
             p -= a[m] * vals[m - 1]
         p /= d[m]
         size = np.abs(p)
-        over = size > 1e120
+        over = size > limit
         if over.any():
             div = size[over]
             vals[: m + 2, over] /= div

@@ -14,7 +14,6 @@ import itertools
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
@@ -63,7 +62,7 @@ _MAX_TERMS = 10000
 #: an infinite product stops at the first factor 1 - a q^s with |a| q^s below this
 _PRODUCT_CUTOFF = 1e-18
 
-#: q_pochhammer takes the powers of q in runs of this many (64 KiB of float64)
+#: q_pochhammer's blocks take the powers of q in runs of this many (64 KiB of float64)
 _POWER_RUN = 1 << 13
 
 #: q_pochhammer multiplies an array's factors in blocks of this many
@@ -165,39 +164,6 @@ def _q_powers(q: float, start: int, stop: int) -> np.ndarray:
     return np.float_power(q, np.arange(start, stop, dtype=float))
 
 
-#: power tables kept per process, one per value of q; one verify-all run uses 2
-_POWER_TABLE_CACHE_SIZE = 8
-#: a power table starts with this many entries and doubles as readers need more ...
-_POWER_TABLE_START = 64
-#: ... up to this many (1 MiB of Python floats), more than the 2 _MAX_TERMS powers a
-#: series reads; a longer product takes its further powers from _q_powers
-_POWER_TABLE_MAX = 1 << 15
-_POWER_TABLE_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=_POWER_TABLE_CACHE_SIZE)
-def _power_table_of(q: float) -> list[float]:
-    return _q_powers(q, 0, _POWER_TABLE_START).tolist()
-
-
-def _power_table(q: float, n: int = 0) -> list[float]:
-    """A list of at least n powers, and never fewer than _POWER_TABLE_START,
-    whose entry s is q ** s bit for bit.
-
-    Up to n = _POWER_TABLE_MAX this is q's shared table, which only ever
-    grows, by doubling; readers must not change it, and entries already in
-    it never change.  A longer request gets a list of n powers of its own.
-    """
-    if n > _POWER_TABLE_MAX:
-        return _q_powers(q, 0, n).tolist()
-    table = _power_table_of(q)
-    if len(table) < n:
-        with _POWER_TABLE_LOCK:  # one writer at a time, so each entry is appended once
-            while len(table) < n:
-                table.extend(_q_powers(q, len(table), 2 * len(table)).tolist())
-    return table
-
-
 def _terms_above_cutoff(q: float, mag: float) -> int:
     """The first s >= 0 where mag * q**s >= 1e-18 fails: the factor count
     of an infinite product over max |a| = mag.
@@ -264,14 +230,12 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
         if k > 10 * _MAX_TERMS:  # reached only for q above about 0.9996
             raise ConvergenceError("infinite q-Pochhammer product did not settle")
     # a 1-element array stays in the loop: numpy reduces it with another complex multiply
-    blocks = isinstance(a, np.ndarray) and 1 < a.size <= _POCHHAMMER_MAX_SIZE and a.dtype.kind in "biufc"
-    for lo in range(0, k, _POWER_RUN):
-        hi = min(lo + _POWER_RUN, k)
-        if blocks:
-            prod = _multiply_factors(prod, a, _q_powers(qq, lo, hi))
-        else:
-            for p in _power_table(qq, hi)[lo:hi] if hi <= _POWER_TABLE_MAX else _q_powers(qq, lo, hi).tolist():
-                prod = prod * (1.0 - a * p)
+    if isinstance(a, np.ndarray) and 1 < a.size <= _POCHHAMMER_MAX_SIZE and a.dtype.kind in "biufc":
+        for lo in range(0, k, _POWER_RUN):
+            prod = _multiply_factors(prod, a, _q_powers(qq, lo, min(lo + _POWER_RUN, k)))
+        return prod
+    for s in range(k):
+        prod = prod * (1.0 - a * qq**s)
     return prod
 
 
@@ -362,15 +326,12 @@ def e_q_gaussian(x: Scalar, q: QParam | float) -> Scalar:
         one_minus_q = 1.0 - qq
         term: Scalar = 1.0
         yield term
-        p, lo = _power_table(qq), 1
-        while True:  # the terms whose powers a table holds, then its doubling
-            for n in range(lo, len(p) // 2 + 1):
-                # ratio of consecutive coefficients: ((1-q)/q) q^{2n-1} / (1 - q^n)
-                term = term * x * one_minus_q / qq * p[2 * n - 1] / (1.0 - p[n])
-                if not math.isfinite(abs(term)):  # so is every later term, and the sum
-                    raise OverflowError(f"e_q_gaussian series: term {n} overflows double range at x = {x!r}")
-                yield term
-            p, lo = _power_table(qq, 4 * n), n + 1
+        for n in itertools.count(1):
+            # ratio of consecutive coefficients: ((1-q)/q) q^{2n-1} / (1 - q^n)
+            term = term * x * one_minus_q / qq * qq ** (2 * n - 1) / (1.0 - qq**n)
+            if not math.isfinite(abs(term)):  # so is every later term, and the sum
+                raise OverflowError(f"e_q_gaussian series: term {n} overflows double range at x = {x!r}")
+            yield term
 
     return _sum_series(terms(), "e_q_gaussian series")
 

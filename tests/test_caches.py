@@ -1,11 +1,9 @@
 """The tables the library caches: results with warm and with cleared caches,
-readers of the power table against today's arithmetic, read-only arrays
-and bounded caches."""
+the q-series and coherent coefficients against today's arithmetic,
+read-only arrays and bounded caches."""
 
 import inspect
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ MODULES = (qcore, polyfam, oscillator, coherent, transform, verify, cli)
 
 #: the caches of tables: those of q alone, the transform's output-grid basis, the coherent step factors
 #: and the b_n of eigen_residual
-TABLE_CACHES = (qcore._qparam, qcore._power_table_of, polyfam._rogers_density, polyfam._theta_rule,
+TABLE_CACHES = (qcore._qparam, polyfam._rogers_density, polyfam._theta_rule,
                 polyfam._rogers_basis, transform._grid_basis, coherent._step_factors, coherent._b_table)
 
 Q_GRID = [0.05, 0.3, 0.5, 0.9, 0.99]
@@ -263,9 +261,9 @@ def reference_e_q_gaussian(x, q):
 
 
 @pytest.mark.parametrize("q", Q_GRID)
-def test_series_read_from_the_power_table_equal_the_pow_loop(q):
+def test_series_equal_the_pow_loop(q):
     """e_q_gaussian's series and the Euler products of e_q_tilde and e_q, at points that stop within
-    the first table and points that grow it, from cleared and from warm caches."""
+    64 terms and points that go past them, from cleared and from warm caches."""
     radius = 1.0 / (1.0 - q)
     cases = [
         (e_q_tilde, reference_e_q_tilde, [0.0, 0.3, -0.5, 0.2 + 0.6j, 0.99, -0.995j]),
@@ -320,8 +318,7 @@ def test_coherent_coefficients_equal_the_closure_loop(q):
     for family, z in cases:
         for dim in (None, 1, 2, 40, 300):
             raw = reference_coeffs(family, complex(z), dim)
-            # cleared caches, warm ones, and step factors that outlast a cleared power table
-            for clear in (clear_caches, lambda: None, qcore._power_table_of.cache_clear):
+            for clear in (clear_caches, lambda: None):  # cleared caches and warm ones
                 clear()
                 state = coherent.bg_expansion(family, z, dim)
                 assert state.dim == len(raw)
@@ -329,8 +326,8 @@ def test_coherent_coefficients_equal_the_closure_loop(q):
                 assert type(state.norm_sq_closed) is float
 
 
-def test_step_factors_are_cached_up_to_the_power_table_cap():
-    dim = qcore._POWER_TABLE_MAX + 10
+def test_step_factors_are_cached_up_to_their_cap():
+    dim = coherent._STEP_FACTORS_MAX + 10
     for family in (polyfam.discrete2(0.5), polyfam.rogers(0.5)):
         clear_caches()
         state = coherent.bg_expansion(family, 0.3, dim)
@@ -339,9 +336,10 @@ def test_step_factors_are_cached_up_to_the_power_table_cap():
         info = coherent._step_factors.cache_info()
         assert info.misses == 10  # sizes 0, 128, 256, ..., 2^15; the 2^16 table is built for the call alone
         rogers = family.kind is polyfam.Family.ROGERS
-        p, r = coherent._step_factors(0.5, rogers, qcore._POWER_TABLE_MAX)
+        p, r = coherent._step_factors(0.5, rogers, coherent._STEP_FACTORS_MAX)
         assert coherent._step_factors.cache_info().hits == info.hits + 1  # the largest table kept
-        assert len(p) == qcore._POWER_TABLE_MAX and len(r) == len(p) - 1
+        assert len(p) == coherent._STEP_FACTORS_MAX and len(r) == len(p) - 1
+        assert p == [0.5**s for s in range(len(p))]
         steps = [1.0 - 0.5 ** (m + 1) for m in range(len(r))]
         assert r == tuple(math.sqrt(s / 0.5) if rogers else math.sqrt(0.5 / s) for s in steps)
 
@@ -366,48 +364,9 @@ def test_cached_arrays_are_read_only():
             arr[0] = 0.0
 
 
-def test_power_table_is_shared_and_bounded():
-    q = 0.77
-    qcore._power_table_of.cache_clear()
-    table = qcore._power_table(q, 100)
-    assert len(table) == 128 and table is qcore._power_table(q, 3)
-    assert table == [q**s for s in range(128)]
-    longer = qcore._power_table(q, qcore._POWER_TABLE_MAX + 1)  # a list of its own, not kept
-    assert len(longer) == qcore._POWER_TABLE_MAX + 1
-    assert len(qcore._power_table_of(q)) == 128
-
-
 def test_every_cache_is_bounded():
     caches = [obj for mod in MODULES for obj in vars(mod).values() if hasattr(obj, "cache_info")]
     assert set(TABLE_CACHES) <= set(caches)
     for cache in caches:
         # a cache of a function without arguments holds one entry
         assert cache.cache_info().maxsize is not None or not inspect.signature(cache).parameters, cache
-
-
-def test_threads_growing_one_power_table_append_each_power_once():
-    q = 0.999
-    qcore._power_table_of.cache_clear()
-    errors = []
-
-    def grow(n):
-        try:
-            for size in range(64, n + 1, 64):
-                table = qcore._power_table(q, size)
-                assert len(table) >= size and table[size - 1] == q ** (size - 1)
-        except Exception as exc:  # reported below: an assertion in a thread does not fail the test
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=grow, args=(4096 + 512 * i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert qcore._power_table_of(q) == [q**s for s in range(8192)]

@@ -351,9 +351,10 @@ def test_spectrum_overflow_names_the_eigenvalue(capsys):
 
 
 @pytest.mark.parametrize("args,message", [
-    # ConvergenceError; --q=0.1 --nmax=160 failed with "off-diagonal Gram mass 8.408e-02" and now exits 0
-    (["table", "--kind=gram", "--family=discrete2", "--q=0.5", "--nmax=600"],
-     "type-II lattice term is not finite at k = -645, q = 0.5"),
+    # ConvergenceError; --q=0.1 --nmax=160 (off-diagonal Gram mass 8.408e-02) and --q=0.5 --nmax=600
+    # (k = -645) failed and now exit 0
+    (["table", "--kind=gram", "--family=discrete2", "--q=0.1", "--nmax=300"],
+     "type-II lattice term is not finite at k = -316, q = 0.1"),
     # InsufficientData from the radius estimator
     (["verify", "--suite=radius", "--q=0.1"], "coefficient magnitudes must be positive and finite"),
     (["coherent", "--family=discrete2", "--z=1e200,0"], "coherent state |z|^2 overflows double range at |z| = 1e+200"),
@@ -402,13 +403,15 @@ def test_discrete2_gram_near_q_1_exits_0(capsys):
     assert cli.main(["table", "--kind=gram", "--family=discrete2", "--q=0.99", "--c=2.5", "--nmax=10"]) == 0
 
 
-@pytest.mark.parametrize("q, nmax", [("0.999", "10"), ("0.1", "160"), ("0.3", "300")])
+@pytest.mark.parametrize("q, nmax", [("0.999", "10"), ("0.1", "160"), ("0.3", "300"), ("0.5", "600"), ("1e-30", "6")])
 def test_discrete2_gram_exits_0_under_warnings_as_errors(q, nmax):
     """At q = 0.999 the positive side is a finite sum; walked under the stop rule it needed about
     37,000 points and exited 2 with "no convergence within 10000 terms".  At nmax 160 and 300 the
     log-weights take 2 log x where x^2 overflows; with log1p(x^2) = inf every point past
     x = 1.3e154 had weight 0, and these exited 2 with "off-diagonal Gram mass 8.408e-02" and
-    "1.993e-01"."""
+    "1.993e-01".  At q = 0.5, nmax 600 and q = 1e-30, nmax 6 a column is rescaled below
+    1e120 / max(1, 1e-30 |x|), so x p_m stays finite; with a flat 1e120 these exited 2 with "type-II
+    lattice term is not finite at k = -645" and "at k = -8"."""
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qhermite", "table", "--kind=gram",
                            "--family=discrete2", f"--q={q}", f"--nmax={nmax}"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -416,15 +419,15 @@ def test_discrete2_gram_exits_0_under_warnings_as_errors(q, nmax):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["table", "--kind=gram", "--family=discrete2", "--q=1e-30", "--nmax=6"],
-     "type-II lattice term is not finite at k = -8, q = 1e-30"),
+    (["table", "--kind=gram", "--family=discrete2", "--q=1e-30", "--nmax=8"],
+     "type-II lattice term is not finite at k = -11, q = 1e-30"),
     (["table", "--kind=gram", "--family=discrete2", "--q=1e-7", "--nmax=44"],
      "type-II lattice term is not finite at k = -48, q = 1e-07"),
     (["verify", "--suite=qdiff", "--q=0.05", "--nmax=30"],
      "discrete2 lattice difference residual overflows double range at degree n = 23, q = 0.05"),
 ])
 def test_a_lattice_past_double_range_exits_2_with_a_named_error(args, message, capsys):
-    """Before, the Gram at q = 1e-30 printed Python's "(34, 'Numerical result out of range')", the
+    """Before, the Gram at q = 1e-30, nmax 6 printed Python's "(34, 'Numerical result out of range')", the
     Gram at q = 1e-7, nmax 44 exited 0 with a diagonal spread of 1.0, and the qdiff suite's
     lattice residual row passed on a residual that had dropped a NaN."""
     assert cli.main(args) == 2

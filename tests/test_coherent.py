@@ -412,6 +412,14 @@ def test_array_bg_expansion_errors_name_the_first_bad_element():
         bg_expansion(discrete2(0.5), np.array([1e10, 1e200, 1e250]))
 
 
+@pytest.mark.parametrize("z", [[0.3, 0.4], (0.3,), "0.3", None])
+def test_z_neither_a_number_nor_an_ndarray_is_a_domain_error(z):
+    """A list gave a bare TypeError from complex(z), and a string was parsed by it."""
+    for fam in (rogers(0.5), discrete2(0.5)):
+        with pytest.raises(DomainError, match=rf"^z must be a number or an ndarray, got {type(z).__name__}$"):
+            bg_expansion(fam, z)
+
+
 def test_array_bg_expansion_walk_overflow_is_the_scalar_message():
     fam = discrete2(0.5)
     with pytest.raises(OverflowError) as scalar:

@@ -22,9 +22,11 @@ from qhermite.errors import ConvergenceError, QuadratureError
 from qhermite.polyfam import discrete2, gram_matrix
 
 #: max |block sum - reference| / max |reference| over every case below; the
-#: largest measured is 1.3e-12 (q = 1e-7, nmax 22), then 1.2e-12 (q = 0.5,
-#: nmax 70), 8.4e-13 (q = 0.01, c = 100, nmax 25) and 7.8e-13 (q = 0.05,
-#: c = 2.5, nmax 25); at nmax <= 10 it is at most 5.9e-14
+#: largest measured is 1.8e-12 (q = 1e-7, nmax 22), then 1.4e-12 (q = 0.02,
+#: c = 1e6, nmax 40), 1.2e-12 (q = 0.5, nmax 70) and 9.2e-13 (q = 0.05,
+#: c = 1e4, nmax 40); at nmax <= 10 it is at most 5.8e-14.  The reference
+#: rescales at a flat 1e120 and the library below 1e120 / max(1, 1e-30 |x|),
+#: so above x = 1e30 the two round differently
 GRAM_REL_BOUND = 4e-12
 
 
@@ -220,13 +222,15 @@ def test_q_0_999_passes_the_gate(c):
 
 
 @pytest.mark.parametrize("q,nmax,k", [
-    (1e-30, 6, -8),   # x = q^-8 = 1e240: x p_j overflows in the recurrence
-    (1e-7, 44, -48),  # the first point, c q^-48 = 1e336, is past double range
+    (1e-30, 8, -11),     # the first point, q^-11 = 1e330, is past double range
+    (1e-7, 44, -48),     # the first point, c q^-48 = 1e336, is past double range
+    (0.1, 300, -316),    # the first point, 1e316
+    (0.5, 1000, -1057),  # the first point, 2^1057
 ])
 def test_lattice_leaving_double_range_raises_a_convergence_error(q, nmax, k):
-    """A point or term that is not finite raises, naming its k and q; before, q = 1e-30 raised as
-    the walk's c q^k left double range at k = -11, and q = 1e-7, nmax 44 passed the gate with
-    weight 0 on every point above 1.3e154, where log1p(x^2) was inf, and a diagonal spread of 1.0."""
+    """A point or term that is not finite raises, naming its k and q; q = 1e-7, nmax 44 once passed
+    the gate with weight 0 on every point above 1.3e154, where log1p(x^2) was inf, and a diagonal
+    spread of 1.0."""
     with pytest.raises(ConvergenceError, match=rf"type-II lattice term is not finite at k = {k}, q = {q!r}$"):
         gram_matrix(discrete2(q), nmax)
 
@@ -263,7 +267,7 @@ def test_points_above_1e154_keep_their_weight():
     """log1p(x^2) is inf above x = 1.3e154, which set the weight of that point and of every point
     beyond it to 0; at q = 1e-7, nmax 22 the diagonal spread read 9.6e-8, and 1.0 from nmax 24."""
     rep = gram_matrix(discrete2(1e-7), 22)
-    assert rep.diag_spread < 1e-10  # 8.0e-13 measured
+    assert rep.diag_spread < 1e-10  # 1.2e-12 measured
 
 
 @pytest.mark.parametrize("q,nmax", [(0.1, 160), (0.3, 300)])
@@ -271,8 +275,41 @@ def test_high_degree_gram_passes_the_gate(q, nmax):
     """Before, both read an off-diagonal Gram mass of 8.4e-2 and 2.0e-1: the walk's weights were 0
     past x = 1.3e154."""
     rep = gram_matrix(discrete2(q), nmax)
-    assert rep.max_offdiag < 1e-11  # 9.9e-13 and 5.6e-12 measured
-    assert rep.diag_spread < 1e-10  # 1.2e-11 and 3.8e-11 measured
+    assert rep.max_offdiag < 1e-11  # 1.9e-12 and 6.7e-12 measured
+    assert rep.diag_spread < 1e-10  # 1.5e-11 and 2.5e-11 measured
+
+
+@pytest.mark.parametrize("q,nmax,offdiag,spread", [
+    # measured: 2.9e-10 and 9.0e-10, 1.4e-11 and 1.0e-10, 1.5e-19 and 2.9e-12, 4.0e-19 and 4.2e-12,
+    # 1.1e-43 and 5.9e-13
+    (0.5, 600, 1e-9, 2e-9),
+    (0.1, 200, 1e-10, 5e-10),
+    (1e-7, 24, 1e-18, 1e-11),
+    (1e-7, 30, 1e-18, 1e-11),
+    (1e-30, 6, 1e-40, 1e-11),
+])
+def test_points_above_1e30_keep_x_p_in_double_range(q, nmax, offdiag, spread):
+    """A column is rescaled once |p_m| passes 1e120 / max(1, 1e-30 |x|), so |x p_m| <= 1e150.  With a
+    flat 1e120, x p_m overflowed at the points above about 1.8e188 (k = -645 at q = 0.5, nmax 600,
+    k = -214 at q = 0.1, nmax 200, k = -28 and -34 at q = 1e-7, k = -8 at q = 1e-30) and these raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = gram_matrix(discrete2(q), nmax)
+    assert rep.max_offdiag < offdiag and rep.diag_spread < spread
+
+
+def test_rescale_limit_keeps_every_product_finite():
+    """Up to |x| = 1e30 the columns are the pointwise loop's under its flat 1e120; above it every
+    value and every product x p_m stays finite, up to x = 2^1000."""
+    a, d = polyfam._orthonormal_coeffs(discrete2(0.5), 600)
+    x = np.array([2.0**-3, -7.5, 1e10, -1e30, 1e31, 1e188, -1e250, 2.0**1000])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, log_scale = polyfam._scaled_sequence(a, d, x)
+        assert np.isfinite(x * vals).all() and np.isfinite(log_scale).all()
+    for j in range(4):
+        vec, scale = _psi_sequence_scaled(a, d, x[j])
+        assert vals[:, j].tobytes() == vec.tobytes() and log_scale[j] == scale
 
 
 def test_large_nmax_stays_within_the_bound():
@@ -330,7 +367,7 @@ def mp_lattice_gram(q, c, nmax):
 
 
 @pytest.mark.parametrize("q,c,nmax,bound", [
-    # measured: 1.7e-13, 4.7e-15, 9.3e-14, 7.3e-16
+    # measured: 1.9e-13, 3.7e-15, 1.2e-13, 1.6e-15
     (0.05, 0.01, 25, 5e-13),
     (0.5, 1.0, 8, 1e-14),
     (0.3, 2.5, 25, 2e-13),

@@ -327,6 +327,8 @@ def test_eval_sequence_keeps_complex_points(family):
             # can round apart from the scalar recurrence in the last bits
             assert seq[n, j] == pytest.approx(eval_orthonormal(family, n, complex(xs[j])), rel=1e-13, abs=1e-300)
     assert eval_orthonormal_sequence(family, 3, [0.5, 0.25 + 0.5j]).dtype == complex
+    # an array-like is converted, where the scalar evaluators raise DomainError
+    assert eval_orthonormal_sequence(family, 12, list(xs)).tobytes() == seq.tobytes()
     assert eval_orthonormal_sequence(family, 3, np.arange(3)).dtype == float
 
 
@@ -383,6 +385,18 @@ def test_non_finite_x_is_domain_error(x):
         eval_orthonormal(discrete2(0.5), 3, x)
     with pytest.raises(DomainError):
         discrete1_eval(3, x, 0.5)
+
+
+@pytest.mark.parametrize("x", [[0.1, 0.2], (0.1, 0.2), "0.1", None])
+def test_input_neither_a_number_nor_an_ndarray_is_a_domain_error(x):
+    """A list gave a bare TypeError from cmath.isfinite before; now every evaluator names its type."""
+    kind = type(x).__name__
+    for call in (lambda: eval_orthonormal(rogers(0.5), 3, x), lambda: eval_orthonormal(discrete2(0.5), 3, x),
+                 lambda: discrete1_eval(3, x, 0.5), lambda: discrete2_eval_series(3, x, 0.5)):
+        with pytest.raises(DomainError, match=rf"^x must be a number or an ndarray, got {kind}$"):
+            call()
+    with pytest.raises(DomainError, match=rf"^theta must be a number or an ndarray, got {kind}$"):
+        polyfam.rogers_trig_eval(3, x, 0.5)
 
 
 # ---------------------------------------------------------------------------
