@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .qcore import (
     _MAX_TERMS,
     QParam,
     _q_powers,
+    _require_number,
     _terms_above_cutoff,
     as_qparam,
     e_q_gaussian,
@@ -157,8 +157,7 @@ def bg_expansion(
         raise DimensionError(f"a coherent expansion needs dim >= 1, got {dim}")
     q = family.q.q
     scalar = not isinstance(z, np.ndarray)
-    if scalar and not isinstance(z, numbers.Number):
-        raise DomainError(f"z must be a number or an ndarray, got {type(z).__name__}")
+    _require_number(z, "z")
     zs = [complex(z)] if scalar else np.asarray(z, dtype=complex).ravel().tolist()
     abs_sq = [_checked_abs_sq(family, v) for v in zs]
     raws = [_unnormalized_coeffs(family, v, dim) for v in zs]
@@ -172,15 +171,6 @@ def bg_expansion(
     return states[0] if scalar else states
 
 
-@functools.lru_cache(maxsize=8)  # per (family, q, size); one verify-all run uses 4
-def _b_table(kind: Family, q: float, size: int) -> np.ndarray:
-    """b_0, ..., b_{size-1} of the family, read-only."""
-    b = polyfam.FAMILY_TABLE[kind].b
-    table = np.array([b(n, q) for n in range(size)])
-    table.setflags(write=False)
-    return table
-
-
 def eigen_residual(state: CoherentStateExpansion) -> float:
     """Relative defect of the defining eigen-equation a-|z> = z|z>.
 
@@ -192,11 +182,7 @@ def eigen_residual(state: CoherentStateExpansion) -> float:
     laws = polyfam.orthonormal_laws(state.family.kind)
     q = state.family.q.q
     c = state.coefficients
-    try:  # from a table of the next power of two, at least 64
-        b = _b_table(state.family.kind, q, max(64, 1 << (state.dim - 2).bit_length()))[: state.dim - 1]
-    except OverflowError:  # past double range inside the table: only the b_n the state needs
-        b = np.array([laws.b(n, q) for n in range(state.dim - 1)])
-    lowered = laws.gamma(q) * b * c[1:]
+    lowered = laws.gamma(q) * laws.b(np.arange(state.dim - 1), q) * c[1:]
     target = state.z * c[:-1]
     denom = float(np.linalg.norm(target))
     defect = float(np.linalg.norm(lowered - target))
@@ -216,6 +202,8 @@ def overlap(
     """
     if family.kind is not Family.ROGERS:
         raise UnsupportedFamily("closed-form overlap is available for the continuous family only")
+    _require_number(z1, "z1")
+    _require_number(z2, "z2")
     q = family.q.q
     r = rogers_radius(q)
     if not (np.all(abs(z1) < r) and np.all(abs(z2) < r)):  # NaN fails too
@@ -233,6 +221,8 @@ def closed_form_rogers_cs(
     """Normalized continuous-family state at x = cos(theta), via the
     generating-function product of two q-exponentials."""
     qp = as_qparam(q)
+    _require_number(z, "z", array=False)
+    _require_number(theta, "theta", array=False)
     q_ = qp.q
     w = math.sqrt(1.0 - q_) * complex(z)
     if abs(w) >= 1.0:
@@ -258,6 +248,8 @@ def closed_form_discrete2_cs(
     real ndarray, one series element per point.
     """
     qp = as_qparam(q)
+    _require_number(z, "z", array=False)
+    _require_number(x)
     q_ = qp.q
     w = math.sqrt(q_ * (1.0 - q_)) * complex(z)
     pref = q_pochhammer(1j * w, qp, math.inf)

@@ -52,7 +52,7 @@ class BnSequence:
         polyfam.orthonormal_laws(self.family)
 
     def coeff(self, n: int, q: QParam | float) -> float:
-        return polyfam.FAMILY_TABLE[self.family].b(n, as_qparam(q).q) if n >= 0 else 0.0
+        return float(polyfam.FAMILY_TABLE[self.family].b(n, as_qparam(q).q)) if n >= 0 else 0.0
 
 
 def rogers_bn() -> BnSequence:
@@ -82,12 +82,6 @@ class FockOperator:
         self.entries.setflags(write=False)
 
 
-def _ladder_diagonal(b: list[float], gamma: float) -> list[float]:
-    """gamma^2 (b_{n-1}^2 + b_n^2) for each b_n of b, with b_{-1} = 0: the
-    diagonal of the ladder Hamiltonian a+a- + a-a+."""
-    return [gamma**2 * (bm1 * bm1 + bn * bn) for bm1, bn in zip([0.0] + b[:-1], b)]
-
-
 def build_operator(
     kind: OperatorKind, source: BnSequence, q: QParam | float, dim: int
 ) -> FockOperator:
@@ -100,7 +94,7 @@ def build_operator(
     qp = as_qparam(q)
     if dim < 2:
         raise DimensionError("operator truncation needs dim >= 2")
-    b = [source.coeff(n, qp) for n in range(dim)]
+    b = polyfam.FAMILY_TABLE[source.family].b(np.arange(dim), qp.q)
     gamma = ladder_prefactor(source, qp)
     m = np.zeros((dim, dim), dtype=complex)
     flat = m.reshape(-1)
@@ -108,16 +102,18 @@ def build_operator(
     if kind is OperatorKind.POSITION:
         below[:] = above[:] = b[:-1]
     elif kind is OperatorKind.MOMENTUM:
-        below[:] = [1j * v for v in b[:-1]]
-        above[:] = [-1j * v for v in b[:-1]]
+        below[:] = 1j * b[:-1]
+        above[:] = -1j * b[:-1]
     elif kind is OperatorKind.RAISING:
-        below[:] = [gamma * v for v in b[:-1]]
+        below[:] = gamma * b[:-1]
     elif kind is OperatorKind.LOWERING:
-        above[:] = [gamma * v for v in b[:-1]]
+        above[:] = gamma * b[:-1]
     elif kind is OperatorKind.NUMBER:
         np.fill_diagonal(m, np.arange(dim))
     elif kind is OperatorKind.HAMILTONIAN:
-        np.fill_diagonal(m, _ladder_diagonal(b, gamma))
+        b_prev = np.append(0.0, b[:-1])  # b_{n-1}, with b_{-1} = 0
+        with np.errstate(over="ignore"):  # a b_n^2 past double range is inf, as a Python float product gives it
+            np.fill_diagonal(m, gamma**2 * (b_prev * b_prev + b * b))
     else:
         raise DomainError(f"unknown operator kind {kind!r}")
     return FockOperator(kind=kind, dim=dim, entries=m)
@@ -157,8 +153,7 @@ def spectrum(source: BnSequence, q: QParam | float, nmax: int) -> list[float]:
     qp = as_qparam(q)
     if nmax < 0:
         raise DomainError("nmax must be non-negative")
-    lam = polyfam.FAMILY_TABLE[source.family].lam
-    return [lam(n, qp.q) for n in range(nmax + 1)]
+    return polyfam.FAMILY_TABLE[source.family].lam(np.arange(nmax + 1), qp.q).tolist()
 
 
 def hamiltonian_form_ratio(source: BnSequence, q: QParam | float, dim: int) -> tuple[float, float]:

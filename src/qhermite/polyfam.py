@@ -5,7 +5,8 @@ Three families are covered: the continuous (Rogers) family, orthogonal on
 two discrete families living on geometric lattices.  Every family-specific
 constant sits in one row of FAMILY_TABLE: the orthonormal recurrence
 coefficients b_n, the monic recurrence coefficients c_n, the ladder
-prefactor gamma and the closed-form spectrum lambda_n.  One three-term
+prefactor gamma and the closed-form spectrum lambda_n, each law of n also
+taking an integer degree array, so that a sequence is one call.  One three-term
 recurrence kernel evaluates every family; the type-I family also has its
 terminating series.  The continuous and type-II families have an
 orthonormal basis, a weight and Gram-matrix checks; the type-I row has no
@@ -19,7 +20,6 @@ import enum
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -27,8 +27,8 @@ import numpy as np
 
 from . import qcore
 from .errors import ConvergenceError, DomainError, PoleError, QuadratureError, UnsupportedFamily
-from .qcore import (QParam, Scalar, _first_failing, _q_powers, _sum_series, _terms_above_cutoff, as_qparam,
-                    q_number, q_pochhammer)
+from .qcore import (QParam, Scalar, _degrees, _first_failing, _pow, _q_powers, _require_number, _sum_series,
+                    _terms_above_cutoff, as_qparam, q_number, q_pochhammer)
 
 
 class Family(enum.Enum):
@@ -45,63 +45,56 @@ class FamilyLaws:
     c:     monic recurrence x h_n = h_{n+1} + c_n h_{n-1}
     gamma: ladder prefactor, a+|n> = gamma b_n |n+1>
     lam:   closed-form eigenvalue lambda_n of the ladder Hamiltonian
-    None marks a constant the family does not have.
+    n may also be an integer degree array, one value per element.  None
+    marks a constant the family does not have.
     """
 
-    b: Callable[[int, float], float] | None
-    c: Callable[[int, float], float]
+    b: Callable[[int | np.ndarray, float], float | np.ndarray] | None
+    c: Callable[[int | np.ndarray, float], float | np.ndarray]
     gamma: Callable[[float], float] | None
-    lam: Callable[[int, float], float] | None
+    lam: Callable[[int | np.ndarray, float], float | np.ndarray] | None
 
 
 def _discrete2_overflow(quantity: str, n: int, q: float) -> OverflowError:
     return OverflowError(f"discrete2 {quantity} overflows double range at degree n = {n}, q = {q!r}")
 
 
-# The type-II laws grow like q^{-2n}; past double range each raises an
-# OverflowError naming the family, the quantity, the degree and q.
-def _discrete2_b(n: int, q: float) -> float:
-    """b_n = q^{-n-1/2} sqrt(1 - q^{n+1})."""
-    try:
-        return q ** (-n - 0.5) * math.sqrt(1.0 - q ** (n + 1))
-    except OverflowError:
-        raise _discrete2_overflow("recurrence coefficient b_n", n, q) from None
+def _discrete2_law(quantity: str, formula: Callable) -> Callable:
+    """A type-II law from its formula in n and q.  The laws grow like q^{-2n}, so a degree array is tried
+    at its largest degree in Python floats first; past double range (a pow that raises, or a sum of inf)
+    an OverflowError names the quantity, the first degree of n whose value is not finite, and q."""
 
+    def law(n, q: float):
+        array = isinstance(n, np.ndarray)
+        try:
+            top = formula(int(n.max(initial=0)) if array else n, q)
+        except OverflowError:
+            top = math.inf
+        if top < math.inf:
+            return formula(n, q) if array else top
+        with np.errstate(over="ignore"):
+            bad = _first_failing(np.isfinite(formula(n, q)), n) if array else n
+        raise _discrete2_overflow(quantity, bad, q)
 
-def _discrete2_c(n: int, q: float) -> float:
-    """c_n = q^{1-2n} (1 - q^n)."""
-    try:
-        return q ** (1 - 2 * n) * (1.0 - q**n)
-    except OverflowError:
-        raise _discrete2_overflow("monic recurrence coefficient c_n", n, q) from None
-
-
-def _discrete2_lam(n: int, q: float) -> float:
-    """lambda_n = q^{-2n} [n+1]_q + q^{2-2n} [n]_q."""
-    try:
-        lam = q ** (-2 * n) * q_number(n + 1, q) + q ** (2 - 2 * n) * q_number(n, q)
-        if lam == math.inf:  # the sum can pass double range with finite terms
-            raise OverflowError
-    except OverflowError:
-        raise _discrete2_overflow("eigenvalue lambda_n", n, q) from None
-    return lam
+    return law
 
 
 FAMILY_TABLE = {
     Family.ROGERS: FamilyLaws(
-        b=lambda n, q: 0.5 * math.sqrt(1.0 - q ** (n + 1)),
-        c=lambda n, q: 0.25 * (1.0 - q**n),
+        b=lambda n, q: 0.5 * np.sqrt(1.0 - _pow(q, n + 1)),
+        c=lambda n, q: 0.25 * (1.0 - _pow(q, n)),
         gamma=lambda q: 2.0 / math.sqrt(1.0 - q),
         lam=lambda n, q: q_number(n, q) + q_number(n + 1, q),
     ),
     # Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials and
     # Their q-Analogues, ch. 14 (discrete q-Hermite I)
-    Family.DISCRETE_I: FamilyLaws(b=None, c=lambda n, q: q ** (n - 1) * (1.0 - q**n), gamma=None, lam=None),
+    Family.DISCRETE_I: FamilyLaws(b=None, c=lambda n, q: _pow(q, n - 1) * (1.0 - _pow(q, n)), gamma=None, lam=None),
     Family.DISCRETE_II: FamilyLaws(
-        b=_discrete2_b,
-        c=_discrete2_c,
+        b=_discrete2_law("recurrence coefficient b_n", lambda n, q: _pow(q, -0.5 - n) * np.sqrt(1.0 - _pow(q, n + 1))),
+        c=_discrete2_law("monic recurrence coefficient c_n", lambda n, q: _pow(q, 1 - 2 * n) * (1.0 - _pow(q, n))),
         gamma=lambda q: math.sqrt(q / (1.0 - q)),
-        lam=_discrete2_lam,
+        lam=_discrete2_law("eigenvalue lambda_n",
+                           lambda n, q: _pow(q, -2 * n) * q_number(n + 1, q) + _pow(q, 2 - 2 * n) * q_number(n, q)),
     ),
 }
 
@@ -166,7 +159,7 @@ _ZERO_FACTOR_TOL = 1e-12
 def recurrence_coeff(family: FamilyDescriptor, n: int) -> float:
     """Off-diagonal recurrence coefficient b_n; b_{-1} = 0 for both families."""
     laws = orthonormal_laws(family.kind)
-    return laws.b(n, family.q.q) if n >= 0 else 0.0
+    return float(laws.b(n, family.q.q)) if n >= 0 else 0.0
 
 
 def _three_term(x, a: Sequence[float], d: Sequence[float]) -> Iterator:
@@ -188,15 +181,13 @@ def _three_term(x, a: Sequence[float], d: Sequence[float]) -> Iterator:
 
 def _orthonormal_coeffs(family: FamilyDescriptor, n: int) -> tuple[list[float], list[float]]:
     """(a, d) = ([b_{-1}, ..., b_{n-2}], [b_0, ..., b_{n-1}]) for _three_term."""
-    laws = orthonormal_laws(family.kind)
-    b = [laws.b(m, family.q.q) for m in range(n)]
+    b = orthonormal_laws(family.kind).b(np.arange(n), family.q.q).tolist()
     return [0.0] + b[:-1], b
 
 
 def _monic_sequence(kind: Family, n: int, x, q: float) -> Iterator:
     """Monic polynomials h_0, ..., h_n of a family at x (scalar, ndarray or Polynomial)."""
-    c = FAMILY_TABLE[kind].c
-    return _three_term(x, [c(m, q) for m in range(n)], [1.0] * n)
+    return _three_term(x, FAMILY_TABLE[kind].c(np.arange(n), q).tolist(), [1.0] * n)
 
 
 def _monic(kind: Family, n: int, x, q: float):
@@ -205,19 +196,9 @@ def _monic(kind: Family, n: int, x, q: float):
     return h
 
 
-def _degrees(n):
-    """n, or a degree array as int64; DomainError for a negative degree or a non-integer array dtype."""
-    if isinstance(n, np.ndarray) and n.dtype.kind not in "iu":
-        raise DomainError(f"a degree array must have an integer dtype, got {n.dtype}")
-    if np.any(n < 0) if isinstance(n, np.ndarray) else n < 0:
-        raise DomainError("degree must be non-negative")
-    return n.astype(np.int64) if isinstance(n, np.ndarray) else n
-
-
 def _require_finite(x, name: str = "x") -> None:
-    """Reject a non-finite scalar, an ndarray with any non-finite element, or anything else (a list)."""
-    if not isinstance(x, (numbers.Number, np.ndarray)):
-        raise DomainError(f"{name} must be a number or an ndarray, got {type(x).__name__}")
+    """Reject what _require_number rejects (a list), a non-finite scalar, or an ndarray with any non-finite element."""
+    _require_number(x, name)
     if isinstance(x, np.ndarray):
         bad = x[~np.isfinite(x)]
         if bad.size:
@@ -304,6 +285,8 @@ def _pochhammer_ratio_series(
     """
     qq = q.q
     params = (z, *numerators, *denominators)
+    for p in params:
+        _require_number(p, "a series argument")
 
     def terms() -> Iterator[Scalar]:
         term: Scalar = 1.0
@@ -438,9 +421,7 @@ def discrete2_eval_series(n, x, q: QParam | float):
         raise DomainError("series form of the type-II polynomial is singular at x = 0")
     qq = qp.q
     base = QParam(qq * qq)
-    # float_power is libm pow, as Python's x**n; the ufunc power may differ by an ulp
-    pw = np.float_power if isinstance(n, np.ndarray) else pow
-    val = phi_2_1(pw(qq, -n), pw(qq, 1 - n), 0.0, base, -(qq * qq) / (x * x))
+    val = phi_2_1(_pow(qq, -n), _pow(qq, 1 - n), 0.0, base, -(qq * qq) / (x * x))
     return np.float_power(x, n) * val if array else x**n * float(val)
 
 

@@ -136,12 +136,35 @@ def _sum_series(terms: Iterable, what: str, running: np.ndarray | None = None):
     return total
 
 
-def q_number(n: int, q: QParam | float) -> float:
-    """[n]_q = (1 - q^n) / (1 - q), the deformed integer."""
+#: the types _require_number admits, the builtin ones first: an isinstance test against the ABC costs more
+_NUMBER_TYPES = (float, int, complex, numbers.Number)
+
+
+def _require_number(x, name: str = "x", array: bool = True) -> None:
+    """DomainError naming the type of x unless it is a number or, where array holds, an ndarray."""
+    if not isinstance(x, (np.ndarray, *_NUMBER_TYPES) if array else _NUMBER_TYPES):
+        kind = "a number or an ndarray" if array else "a number"
+        raise DomainError(f"{name} must be {kind}, got {type(x).__name__}")
+
+
+def _degrees(n):
+    """n, or a degree array as int64; DomainError for a negative degree or a non-integer array dtype."""
+    if isinstance(n, np.ndarray) and n.dtype.kind not in "iu":
+        raise DomainError(f"a degree array must have an integer dtype, got {n.dtype}")
+    if (n < 0).any() if isinstance(n, np.ndarray) else n < 0:
+        raise DomainError("degree must be non-negative")
+    return n.astype(np.int64, copy=False) if isinstance(n, np.ndarray) else n
+
+
+def _pow(q: float, s):
+    """q ** s, or for an ndarray s its np.float_power per element: both are libm's pow, bit for bit."""
+    return np.float_power(q, s) if isinstance(s, np.ndarray) else q**s
+
+
+def q_number(n, q: QParam | float):
+    """[n]_q = (1 - q^n) / (1 - q), the deformed integer; n may be an integer degree array."""
     qq = as_qparam(q).q
-    if n < 0:
-        raise DomainError("q_number requires n >= 0")
-    return (1.0 - qq**n) / (1.0 - qq)
+    return (1.0 - _pow(qq, _degrees(n))) / (1.0 - qq)
 
 
 def q_factorial(n: int, q: QParam | float) -> float:
@@ -218,6 +241,7 @@ def q_pochhammer(a, q: QParam | float, k: int | float):
     taken one factor at a time in s order bit for bit.
     """
     qq = as_qparam(q).q
+    _require_number(a, "a")
     infinite = k is math.inf or (isinstance(k, float) and math.isinf(k) and k > 0)
     if not infinite and (not isinstance(k, numbers.Integral) or k < 0):
         raise DomainError("q_pochhammer order k must be a non-negative integer or math.inf")
@@ -276,6 +300,7 @@ def e_q_tilde(x, q: QParam | float):
     """q-exponential sum_n x^n / (q;q)_n for |x| < 1, as Euler's product
     1 / (x; q)_inf; x may be an ndarray, as in e_q."""
     qp = as_qparam(q)
+    _require_number(x)
     bad = _first_failing(abs(x) < 1.0, x)
     if bad is not None:
         raise DomainError(f"e_q_tilde requires |x| < 1, got |x| = {abs(bad)}")
@@ -290,6 +315,7 @@ def e_q(x, q: QParam | float):
     array equals the scalar calls bit for bit, and a complex one agrees to a
     few ulps.  A DomainError or OverflowError names the first bad element.
     """
+    _require_number(x)
     return 1.0 / _e_q_product(x, as_qparam(q))
 
 
@@ -302,6 +328,7 @@ def e_q_reciprocal(x, q: QParam | float):
     x may be a real ndarray, as in e_q, each element pinned on its own.
     """
     qp = as_qparam(q)
+    _require_number(x)
     radius = 1.0 / (1.0 - qp.q)
     bad = _first_failing(x <= radius, x)
     if bad is not None:
@@ -321,6 +348,7 @@ def e_q_gaussian(x: Scalar, q: QParam | float) -> Scalar:
     normalization series of the lattice-family coherent states.
     """
     qq = as_qparam(q).q
+    _require_number(x, array=False)
 
     def terms() -> Iterator[Scalar]:
         one_minus_q = 1.0 - qq
@@ -339,6 +367,7 @@ def e_q_gaussian(x: Scalar, q: QParam | float) -> Scalar:
 def q_derivative(f: Callable, x, q: QParam | float):
     """(f(x) - f(qx)) / (x (1-q)) for a scalar or ndarray x (f then maps arrays); undefined at x = 0."""
     qq = as_qparam(q).q
+    _require_number(x)
     if (x == 0).any() if isinstance(x, np.ndarray) else x == 0:
         raise DomainError("q_derivative is undefined at x = 0")
     return (f(x) - f(qq * x)) / (x * (1.0 - qq))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import polyfam
 from .errors import DomainError
-from .qcore import QParam, as_qparam
+from .qcore import QParam, _require_number, as_qparam
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ class KernelSpec:
 
 
 def poisson_kernel(x: float, y: float, spec: KernelSpec) -> complex:
-    """Truncated kernel sum_{n < n_terms} t^n phi_n(x) phi_n(y)."""
+    """Truncated kernel sum_{n < n_terms} t^n phi_n(x) phi_n(y) at one point pair."""
+    _require_number(x, array=False)
+    _require_number(y, "y", array=False)
     if abs(x) > 1.0 or abs(y) > 1.0:
         raise DomainError("kernel arguments must lie in [-1, 1]")
     fam = polyfam.rogers(spec.q)

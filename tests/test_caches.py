@@ -14,10 +14,9 @@ from qhermite.qcore import e_q, e_q_gaussian, e_q_tilde
 
 MODULES = (qcore, polyfam, oscillator, coherent, transform, verify, cli)
 
-#: the caches of tables: those of q alone, the transform's output-grid basis, the coherent step factors
-#: and the b_n of eigen_residual
+#: the caches of tables: those of q alone, the transform's output-grid basis and the coherent step factors
 TABLE_CACHES = (qcore._qparam, polyfam._rogers_density, polyfam._theta_rule,
-                polyfam._rogers_basis, transform._grid_basis, coherent._step_factors, coherent._b_table)
+                polyfam._rogers_basis, transform._grid_basis, coherent._step_factors)
 
 Q_GRID = [0.05, 0.3, 0.5, 0.9, 0.99]
 
@@ -169,7 +168,7 @@ def test_a_theta_rule_whose_weights_are_not_finite_raises_and_is_not_cached(n_no
 
 
 def reference_eigen_residual(state):
-    """Today's eigen_residual, with the b_n rebuilt on each call."""
+    """eigen_residual with the b_n taken one degree at a time."""
     laws = polyfam.orthonormal_laws(state.family.kind)
     q = state.family.q.q
     c = state.coefficients
@@ -181,7 +180,7 @@ def reference_eigen_residual(state):
 
 
 @pytest.mark.parametrize("q", Q_GRID)
-def test_eigen_residual_from_the_b_table_equals_the_rebuilt_b_n(q):
+def test_eigen_residual_from_one_b_n_array_equals_the_b_n_one_degree_at_a_time(q):
     radius = coherent.rogers_radius(q)
     states = [coherent.bg_expansion(polyfam.rogers(q), z, dim) for z in (0.3 * radius, 0.8j * radius)
               for dim in (None, 3, 64, 65, 300)]
@@ -191,18 +190,12 @@ def test_eigen_residual_from_the_b_table_equals_the_rebuilt_b_n(q):
         clear()
         for state in states:
             assert repr(coherent.eigen_residual(state)) == repr(reference_eigen_residual(state))
-    table = coherent._b_table(polyfam.Family.ROGERS, q, 64)
-    assert table.tolist() == [polyfam.recurrence_coeff(polyfam.rogers(q), n) for n in range(64)]
-    with pytest.raises(ValueError):
-        table[0] = 0.0
 
 
 def test_eigen_residual_past_the_b_n_overflow_raises_the_named_error():
     # at q = 0.5 the discrete-II b_n leaves double range at n = 1024: a 1000-dimensional state reads
-    # the table of 1024 entries, and a 1100-dimensional one needs that of 2048, which overflows
-    message = "b_n overflows double range at degree n = 1024"
-    with pytest.raises(OverflowError, match=message):
-        coherent._b_table(polyfam.Family.DISCRETE_II, 0.5, 2048)
+    # b_0..b_998, and a 1100-dimensional one b_0..b_1098, which overflows
+    message = "^discrete2 recurrence coefficient b_n overflows double range at degree n = 1024, q = 0.5$"
     state = coherent.bg_expansion(polyfam.discrete2(0.5), 0.5, 1100)
     with pytest.raises(OverflowError, match=message):
         reference_eigen_residual(state)

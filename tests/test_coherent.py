@@ -420,6 +420,30 @@ def test_z_neither_a_number_nor_an_ndarray_is_a_domain_error(z):
             bg_expansion(fam, z)
 
 
+@pytest.mark.parametrize("x", [[0.3, 0.4], (0.3,), "0.3", None])
+def test_overlap_and_closed_form_input_neither_a_number_nor_an_ndarray_is_a_domain_error(x):
+    """A list gave a bare TypeError from abs(), complex() or the arithmetic, and complex() parsed a string."""
+    kind = type(x).__name__
+    for name, call in (("z1", lambda: overlap(rogers(0.5), x, 0.2)), ("z2", lambda: overlap(rogers(0.5), 0.2, x)),
+                       ("x", lambda: closed_form_discrete2_cs(0.5, x, 0.5))):
+        with pytest.raises(DomainError, match=rf"^{name} must be a number or an ndarray, got {kind}$"):
+            call()
+    for name, call in (("z", lambda: closed_form_rogers_cs(x, 0.2, 0.5)),
+                       ("theta", lambda: closed_form_rogers_cs(0.3, x, 0.5)),
+                       ("z", lambda: closed_form_discrete2_cs(x, 0.2, 0.5))):
+        with pytest.raises(DomainError, match=rf"^{name} must be a number, got {kind}$"):
+            call()
+
+
+def test_closed_forms_reject_an_ndarray_where_they_take_one_value():
+    zs = np.array([0.3, 0.4])
+    for name, call in (("z", lambda: closed_form_rogers_cs(zs, 0.2, 0.5)),
+                       ("theta", lambda: closed_form_rogers_cs(0.3, zs, 0.5)),
+                       ("z", lambda: closed_form_discrete2_cs(zs, 0.2, 0.5))):
+        with pytest.raises(DomainError, match=rf"^{name} must be a number, got ndarray$"):
+            call()
+
+
 def test_array_bg_expansion_walk_overflow_is_the_scalar_message():
     fam = discrete2(0.5)
     with pytest.raises(OverflowError) as scalar:

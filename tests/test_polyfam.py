@@ -399,6 +399,16 @@ def test_input_neither_a_number_nor_an_ndarray_is_a_domain_error(x):
         polyfam.rogers_trig_eval(3, x, 0.5)
 
 
+@pytest.mark.parametrize("x", [[0.1, 0.2], (0.1, 0.2), "0.1", None])
+def test_series_argument_neither_a_number_nor_an_ndarray_is_a_domain_error(x):
+    """A list gave a bare TypeError from the term arithmetic."""
+    message = rf"^a series argument must be a number or an ndarray, got {type(x).__name__}$"
+    for call in (lambda: phi_2_1(0.3, 0.4, 0.2, 0.5, x), lambda: phi_2_1(x, 0.4, 0.2, 0.5, 0.1),
+                 lambda: polyfam.phi_1_1(0.3, x, 0.5, 0.1)):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # array inputs of the series evaluators
 # ---------------------------------------------------------------------------
@@ -614,6 +624,68 @@ def test_discrete2_c_and_lambda_overflow_name_family_quantity_degree_and_q():
     assert math.isfinite(0.7 ** (-2 * 993)) and math.isfinite(0.7 ** (2 - 2 * 993))
     with pytest.raises(OverflowError, match=r"^discrete2 eigenvalue lambda_n .*degree n = 993, q = 0\.7$"):
         lam(993, 0.7)
+
+
+#: each law one degree at a time in Python floats, as the table computed it before it took degree arrays
+REFERENCE_LAWS = {
+    (Family.ROGERS, "b"): lambda n, q: 0.5 * math.sqrt(1.0 - q ** (n + 1)),
+    (Family.ROGERS, "c"): lambda n, q: 0.25 * (1.0 - q**n),
+    (Family.ROGERS, "lam"): lambda n, q: (1.0 - q**n) / (1.0 - q) + (1.0 - q ** (n + 1)) / (1.0 - q),
+    (Family.DISCRETE_I, "c"): lambda n, q: q ** (n - 1) * (1.0 - q**n),
+    (Family.DISCRETE_II, "b"): lambda n, q: q ** (-n - 0.5) * math.sqrt(1.0 - q ** (n + 1)),
+    (Family.DISCRETE_II, "c"): lambda n, q: q ** (1 - 2 * n) * (1.0 - q**n),
+    (Family.DISCRETE_II, "lam"): lambda n, q: (q ** (-2 * n) * ((1.0 - q ** (n + 1)) / (1.0 - q))
+                                               + q ** (2 - 2 * n) * ((1.0 - q**n) / (1.0 - q))),
+}
+
+
+def _reference_values(kind, name, q, stop):
+    """The reference law at n = 0, 1, ... below stop, up to the first degree past double range."""
+    values = []
+    for n in range(stop):
+        try:
+            value = REFERENCE_LAWS[kind, name](n, q)
+        except OverflowError:
+            break
+        if value == math.inf:
+            break
+        values.append(value)
+    return values
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("kind, name", list(REFERENCE_LAWS))
+def test_law_on_a_degree_range_equals_the_per_degree_formula_bit_for_bit(kind, name, q):
+    """One call on np.arange(N), up to the type-II overflow degree, gives the per-degree values."""
+    want = _reference_values(kind, name, q, 100_000 if kind is Family.DISCRETE_II else 3000)
+    law = getattr(FAMILY_TABLE[kind], name)
+    got = law(np.arange(len(want)), q)
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+    for n in (0, 1, len(want) // 2, len(want) - 1):  # one degree gives the same value
+        assert float(law(n, q)) == want[n]
+    assert law(np.arange(0), q).shape == (0,)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [1e-7, 0.05, 0.5, 0.7, 0.99])
+@pytest.mark.parametrize("name, quantity", [("b", "recurrence coefficient b_n"),
+                                            ("c", "monic recurrence coefficient c_n"),
+                                            ("lam", "eigenvalue lambda_n")])
+def test_law_array_past_the_overflow_degree_names_the_first_bad_degree(name, quantity, q):
+    """An array reaching past double range raises the family's error at its first bad degree, as
+    a call at that one degree does, with no numpy warning on the way."""
+    first_bad = len(_reference_values(Family.DISCRETE_II, name, q, 100_000))
+    law = getattr(FAMILY_TABLE[Family.DISCRETE_II], name)
+    message = rf"^discrete2 {quantity} overflows double range at degree n = {first_bad}, q = {q!r}$"
+    for degrees in (np.arange(first_bad + 1), np.arange(2 * first_bad), np.array([first_bad])):
+        with pytest.raises(OverflowError, match=message):
+            law(degrees, q)
+    with pytest.raises(OverflowError, match=message):
+        law(first_bad, q)
+    # the first bad degree in array order
+    with pytest.raises(OverflowError, match=rf"degree n = {first_bad + 5}, q = {q!r}$"):
+        law(np.array([3, first_bad + 5, first_bad, 0]), q)
 
 
 def _scalar_parameter_cases(q):

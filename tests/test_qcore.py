@@ -516,3 +516,34 @@ def test_e_q_gaussian_overflow_names_the_term():
         e_q_gaussian(1e20, 0.5)
     with pytest.raises(OverflowError, match=r"term \d+ overflows double range at x = \(1e\+20\+1e\+20j\)$"):
         e_q_gaussian(complex(1e20, 1e20), 0.5)
+
+
+def test_q_number_takes_a_degree_array():
+    for q in (0.05, 0.5, 0.99):
+        got = q_number(np.arange(3000), q)
+        assert got.tobytes() == np.array([(1.0 - q**n) / (1.0 - q) for n in range(3000)]).tobytes()
+    with pytest.raises(DomainError, match="^degree must be non-negative$"):
+        q_number(np.array([2, -1]), 0.5)
+    with pytest.raises(DomainError, match="^a degree array must have an integer dtype, got float64$"):
+        q_number(np.array([2.0]), 0.5)
+
+
+@pytest.mark.parametrize("x", [[0.1, 0.2], (0.1, 0.2), "0.1", None])
+def test_q_series_input_neither_a_number_nor_an_ndarray_is_a_domain_error(x):
+    """A list gave a bare TypeError from abs() or the arithmetic; each function now names its type."""
+    kind = type(x).__name__
+    with pytest.raises(DomainError, match=rf"^a must be a number or an ndarray, got {kind}$"):
+        q_pochhammer(x, 0.5, math.inf)
+    with pytest.raises(DomainError, match=rf"^a must be a number or an ndarray, got {kind}$"):
+        q_pochhammer(x, 0.5, 3)
+    for call in (lambda: e_q(x, 0.5), lambda: e_q_tilde(x, 0.5), lambda: e_q_reciprocal(x, 0.5),
+                 lambda: q_derivative(lambda t: t, x, 0.5)):
+        with pytest.raises(DomainError, match=rf"^x must be a number or an ndarray, got {kind}$"):
+            call()
+    with pytest.raises(DomainError, match=rf"^x must be a number, got {kind}$"):
+        e_q_gaussian(x, 0.5)
+
+
+def test_e_q_gaussian_rejects_an_ndarray():
+    with pytest.raises(DomainError, match="^x must be a number, got ndarray$"):
+        e_q_gaussian(np.array([0.5, 2.0]), 0.5)

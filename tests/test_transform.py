@@ -125,3 +125,14 @@ def test_kernel_on_the_diagonal_equals_the_q_mehler_closed_form(q, t):
         half = q_pochhammer(t * complex(math.cos(2 * theta), math.sin(2 * theta)), q, math.inf)
         closed = q_pochhammer(t * t, q, math.inf) / (abs(half) ** 2 * q_pochhammer(t, q, math.inf) ** 2)
         assert poisson_kernel(x, x, KernelSpec(QParam(q), t, 400)).real == pytest.approx(closed, rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [[0.3, 0.4], (0.3,), "0.3", None, np.array([0.3, 0.4])])
+def test_poisson_kernel_input_other_than_one_number_is_a_domain_error(x):
+    """A list gave a bare TypeError from abs(), and an ndarray a bare ValueError from its truth value."""
+    spec = KernelSpec(QParam(0.5), 0.5, 8)
+    kind = type(x).__name__
+    with pytest.raises(DomainError, match=rf"^x must be a number, got {kind}$"):
+        poisson_kernel(x, 0.2, spec)
+    with pytest.raises(DomainError, match=rf"^y must be a number, got {kind}$"):
+        poisson_kernel(0.2, x, spec)
